@@ -720,8 +720,8 @@ pub fn run(quick: bool) -> BenchOutcome {
              table, resolver, and pending-tag maps N ways shrinks each shard's working set, \
              so probes hit shorter chains and warmer caches. projected_frames_per_sec \
              reports frames / max(slowest dispatcher parse, serialized routing, slowest \
-             worker busy) as a multi-core estimate: dispatchers flat-parse their trace \
-             slices concurrently, the routing token serializes only the demux, and \
+             worker busy) as a multi-core estimate: parse lanes flat-parse record \
+             chunks concurrently, one routing thread serializes only the demux, and \
              workers run in parallel, so the slowest of those three busy windows bounds \
              the multi-core runtime. Busy times exclude channel blocking, but on a \
              saturated single core cross-stage preemption still inflates them, so the \

@@ -10,8 +10,8 @@
 //! the same stress-scheduling idea behind tools like rr chaos mode: far
 //! weaker than exhaustive model checking, but it reliably surfaces lost
 //! updates and ordering bugs with windows wider than a few instructions
-//! (see `crates/resolver/tests/loom_shard.rs` for a demonstration against a
-//! deliberately broken lock discipline).
+//! (see `crates/core/tests/loom_ring.rs` for a demonstration against a
+//! deliberately racy ring drain).
 //!
 //! The API mirrors the subset of loom the workspace uses: `loom::model`,
 //! `loom::thread::{spawn, yield_now}`, `loom::sync::{Arc, Mutex, atomic}`.

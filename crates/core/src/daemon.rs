@@ -42,7 +42,7 @@ use std::io::Read;
 use dnhunter_net::{
     ExportRecord, FlowRecError, FlowRecReader, FrameSource, NetError, PcapRecord, SourcePoll,
 };
-use dnhunter_telemetry::{tm_count, Metric};
+use dnhunter_telemetry::{self as telemetry, tm_count, Metric};
 
 use crate::pipeline::ParallelSniffer;
 use crate::sniffer::{RealTimeSniffer, SnifferReport};
@@ -54,11 +54,9 @@ use crate::window::{WindowConfig, WindowedAnalytics};
 /// replay latency stays sub-millisecond, long enough not to spin.
 const PENDING_BACKOFF_MICROS: u64 = 200;
 
-/// Either sniffer driver, behind the one record/rotate surface the daemon
-/// loop needs. Rotation is sequential-or-single-dispatcher only: the
-/// multi-dispatcher offline driver has no single packet clock while its
-/// slices parse concurrently, so it never rotates (the CLI refuses the
-/// combination).
+/// Either sniffer driver, behind the one record/rotate/snapshot surface
+/// the daemon loop needs — every pcap input of the CLI runs through it, at
+/// any worker and dispatcher count.
 pub enum DaemonSniffer {
     Seq(Box<RealTimeSniffer>),
     Par(Box<ParallelSniffer>),
@@ -74,6 +72,15 @@ impl DaemonSniffer {
         }
     }
 
+    /// Route every record fed so far. The parallel driver with parse lanes
+    /// otherwise holds records until a whole chunk has filled; the daemon
+    /// loop calls this whenever its source goes idle.
+    pub fn flush(&mut self) {
+        if let DaemonSniffer::Par(s) = self {
+            s.route_all_chunks();
+        }
+    }
+
     /// Rotate at packet-clock `clock`: returns the horizon actually used
     /// (clamped to the oldest live flow) and the retired bucket partials,
     /// per-shard lists concatenated in shard order.
@@ -86,6 +93,18 @@ impl DaemonSniffer {
                 (horizon, per_shard.into_iter().flatten().collect())
             }
         }
+    }
+
+    /// Live telemetry view for mid-run `--metrics` lines: `registry` (the
+    /// caller's own) plus, for the parallel driver, a racy-but-monotone
+    /// sum of its threads' registries — so worker-side counters move
+    /// mid-run at any worker count, whatever the input source.
+    pub fn live_snapshot(&self, registry: &telemetry::Registry) -> telemetry::Snapshot {
+        let mut snap = registry.snapshot();
+        if let DaemonSniffer::Par(p) = self {
+            snap.merge(&p.thread_telemetry_snapshot());
+        }
+        snap
     }
 
     /// Finish the run, handing back the report and the per-shard sinks
@@ -149,15 +168,17 @@ impl Rotation {
 
 /// Drive `sniffer` from `source` until `Eof`: the daemon's event loop.
 /// `Ready` records advance the packet clock and may fire a rotation;
-/// `Pending` sleeps briefly (bounded backpressure — the pipeline's rings
-/// already bound in-flight work); `on_record(ts)` runs after every record
-/// for driver-side polling (metric snapshots). Returns the record count.
+/// `Pending` routes every record fed so far ([`DaemonSniffer::flush`]) and
+/// sleeps briefly (bounded backpressure — the pipeline's rings already
+/// bound in-flight work); `on_record(sniffer, ts)` runs after
+/// every record for driver-side polling (metric snapshots). Returns the
+/// record count.
 // lint_root(ingest): daemon event loop over a polled frame source
 pub fn run_frame_daemon(
     source: &mut dyn FrameSource,
     sniffer: &mut DaemonSniffer,
     mut rotation: Option<&mut Rotation>,
-    mut on_record: impl FnMut(u64),
+    mut on_record: impl FnMut(&DaemonSniffer, u64),
 ) -> Result<u64, NetError> {
     let mut records = 0u64;
     loop {
@@ -174,9 +195,10 @@ pub fn run_frame_daemon(
                         rot.fire(sniffer, clock);
                     }
                 }
-                on_record(ts);
+                on_record(sniffer, ts);
             }
             SourcePoll::Pending => {
+                sniffer.flush();
                 std::thread::sleep(std::time::Duration::from_micros(PENDING_BACKOFF_MICROS));
             }
             SourcePoll::Eof => return Ok(records),

@@ -109,7 +109,7 @@ pub(crate) struct ShardEngine {
 impl ShardEngine {
     /// Build one engine. `resolver_config` is passed separately from
     /// `config.resolver` so the pipeline can hand each shard its partition
-    /// of the Clist budget `L` (mirroring `ShardedResolver::new`).
+    /// of the Clist budget `L` (§3.1.1: shards split the budget).
     pub(crate) fn new(config: SnifferConfig, resolver_config: ResolverConfig) -> Self {
         ShardEngine {
             resolver: DnsResolver::with_config(resolver_config),

@@ -3,19 +3,22 @@
 //! The paper sizes DN-Hunter for a single monitor thread (§3.2 shows one
 //! core keeps up with a 1M-packets/s PoP) and notes the scaling escape
 //! hatch in §3.1.1: partition the monitored *clients* across independent
-//! resolvers. This module applies that idea to the whole fast path, in two
-//! driver shapes:
+//! resolvers. This module applies that idea to the whole fast path with one
+//! streaming driver, [`ParallelSniffer`]:
 //!
-//! * [`ParallelSniffer`] — the push-mode driver for live capture: the
-//!   caller's thread is the single dispatcher, flat-parsing each frame
-//!   ([`parse_flat`]) and fanning work out over bounded ring channels to
-//!   `N` shard workers.
-//! * [`run_records`] — the offline-trace driver: additionally shards the
-//!   *dispatcher itself*, RSS-style. `D` dispatcher threads flat-parse
-//!   contiguous slices of the trace concurrently ([`SegBatch`]), while a
-//!   single routing-state token serializes the order-sensitive routing
-//!   pass in slice order — so route orientation, eviction ticks and
-//!   sequence stamps come out bit-identical to one dispatcher's.
+//! * the caller's thread is the **router**: it flat-parses each frame
+//!   ([`parse_flat`]), classifies it, and fans work out over bounded ring
+//!   channels to `N` shard workers, in frame order;
+//! * with `D > 1` dispatchers ([`ParallelSniffer::with_dispatchers`]) the
+//!   flat parse moves off the routing path: records gather into
+//!   fixed-size chunks ([`SegBatch`], [`SEG_BATCH_FRAMES`] records), dealt
+//!   round-robin to `D` parse lanes — lane 0 is the caller, lanes `1..D`
+//!   are threads — and the caller routes the parsed chunks back in chunk
+//!   order. At most one chunk per lane is in flight, so memory is
+//!   `O(D × chunk + rings)` however long the capture.
+//!
+//! [`run_records`] is a thin loop over the same driver for in-memory
+//! traces.
 //!
 //! Work travels as batches: up to `BATCH_ITEMS` pre-parsed items plus one
 //! shared byte arena holding only what the worker still needs — a DNS
@@ -23,37 +26,37 @@
 //! DPI head still wants (usually nothing once a flow's first ~[`DPI_SNAP`]
 //! bytes per direction have shipped) — so the channels move tens of bytes
 //! per packet instead of whole frames, and workers never re-parse. Arenas
-//! recycle worker→dispatcher over a return ring, and the batched ring
+//! recycle worker→router over a return ring, and the batched ring
 //! operations (`crate::ring`) move several batches per lock handoff in
-//! every direction. Shard routing keys client IPs through the same FNV
-//! hash the sharded resolver uses ([`shard_of`]) — the *shard-affinity
-//! invariant*: a client's DNS bindings (Algorithm 1 state), the flows
-//! those bindings tag, and the §5.1 delay samples for both always live on
-//! the same worker, so workers share nothing and take no locks on the
-//! per-packet path.
+//! every direction. Shard routing keys client IPs through an FNV hash
+//! ([`shard_of`]) — the *shard-affinity invariant*: a client's DNS
+//! bindings (Algorithm 1 state), the flows those bindings tag, and the
+//! §5.1 delay samples for both always live on the same worker, so workers
+//! share nothing and take no locks on the per-packet path.
 //!
 //! Determinism is by construction, not by luck (see `DESIGN.md` §7): every
-//! frame carries a global sequence number (its trace index), dispatchers
-//! replicate the flow table's eviction-scan gate and broadcast explicit
-//! tick events, workers drain their per-dispatcher rings in token order,
-//! and the final merge re-orders every output stream under the
-//! `(seq, phase)` key — so both drivers return a [`SnifferReport`]
-//! byte-identical to [`crate::RealTimeSniffer`]'s for any worker *and*
-//! dispatcher count (as long as no shard overflows its Clist partition;
-//! the default `L = 2^20` makes evictions a non-issue at trace scale).
+//! frame carries a global sequence number (its trace index), the router
+//! replicates the flow table's eviction-scan gate and broadcasts explicit
+//! tick events, each worker drains one ring in routing order, and the
+//! final merge re-orders every output stream under the `(seq, phase)` key
+//! — so the driver returns a [`SnifferReport`] byte-identical to
+//! [`crate::RealTimeSniffer`]'s for any worker *and* dispatcher count (as
+//! long as no shard overflows its Clist partition; the default `L = 2^20`
+//! makes evictions a non-issue at trace scale).
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::net::IpAddr;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use dnhunter_dns::codec;
 use dnhunter_flow::{CanonFlowKey, CompactSeg, TcpTracker, DPI_SNAP};
-use dnhunter_net::seg::{parse_flat, FlatParse, FlatSeg, FrameFault, SegBatch};
+use dnhunter_net::seg::{parse_flat, FlatParse, FlatSeg, FrameFault, SegBatch, SEG_BATCH_FRAMES};
 use dnhunter_net::{IpProtocol, PcapRecord};
 use dnhunter_resolver::maps::FnvHashMap;
-use dnhunter_resolver::{shard_of, InternStats, ResolverConfig};
+use dnhunter_resolver::{InternStats, ResolverConfig};
 use dnhunter_telemetry::{
     self as telemetry, tm_count, tm_observe, tm_trace, tm_trace_wall, LaneKind, Metric as Tm,
     TraceEvent as Te, TraceSet,
@@ -70,31 +73,66 @@ use crate::stream::{FlowSink, StreamingAnalytics};
 /// order.
 type RotateReply = Vec<(u64, StreamingAnalytics)>;
 
-/// Frames per batch before the dispatcher seals a batch. Batching
-/// amortises the ring's lock handoff over many frames (§3.2's per-packet
-/// budget is far below one syscall/lock per packet).
+/// Frames per batch before the router seals a batch. Batching amortises
+/// the ring's lock handoff over many frames (§3.2's per-packet budget is
+/// far below one syscall/lock per packet).
 const BATCH_ITEMS: usize = 128;
 /// Arena bytes per batch before an early seal (keeps batches cache-sized
 /// even under jumbo frames).
 const BATCH_BYTES: usize = 128 * 1024;
-/// Sealed batches a dispatcher link buffers locally before one
-/// `send_batch` moves them all under a single ring lock acquisition.
+/// Sealed batches a worker link buffers locally before one `send_batch`
+/// moves them all under a single ring lock acquisition.
 const OUTBOX_BATCHES: usize = 2;
-/// In-flight batches per dispatcher→worker ring: enough to keep a worker
-/// busy while the dispatcher fills the next batch, small enough that a slow
-/// shard backpressures ingest instead of buffering the trace.
+/// In-flight batches per worker ring: enough to keep a worker busy while
+/// the router fills the next batch, small enough that a slow shard
+/// backpressures ingest instead of buffering the trace.
 const CHANNEL_BATCHES: usize = 4;
 /// Most batches a worker drains per `recv_batch` lock acquisition.
 const RECV_BATCH_MAX: usize = CHANNEL_BATCHES;
-/// Capacity of each worker→dispatcher arena recycle ring; sized so a
+/// Capacity of each worker→router arena recycle ring; sized so a
 /// best-effort `try_send_batch` of every drained batch always fits.
 const RECYCLE_BATCHES: usize = CHANNEL_BATCHES + 2;
+/// Record chunks a parse lane holds at once. The router deals a lane its
+/// next chunk only after routing the previous one, so each lane ring
+/// carries at most this many chunks and the chunks in flight never exceed
+/// one per lane.
+const LANE_CHUNKS: usize = 1;
+/// With one dispatcher the caller times one frame in this many and scales
+/// the sample up: a clock read costs about a tenth of a frame's parse and
+/// route time, so timing every frame would slow the path it measures.
+const TIMING_SAMPLE: u64 = 16;
 /// Hard ceiling on pipeline fan-out in either role. Worker and dispatcher
-/// counts are operator configuration, but every per-thread ring, slice and
+/// counts are operator configuration, but every per-thread ring, chunk and
 /// merge buffer is sized from them, so the bounded-allocation discipline
 /// (L8) wants a named cap on those statements — and far past the core
 /// count extra threads only add contention anyway.
 const MAX_PIPELINE_THREADS: usize = 64;
+
+/// Shard index for a client address, over `shards` shards.
+///
+/// The paper (§3.1.1) suggests splitting "for odd and even fourth octet
+/// value in the client IP-address". That scheme balances poorly beyond
+/// two shards: monitored populations are assigned addresses from DHCP
+/// pools, so low-order octets carry allocation patterns (e.g. /28
+/// customer blocks put 14 of 16 hosts on the same few residues). We
+/// depart from the paper and mix *all* address bytes through FNV-1a
+/// before reducing modulo `N`, which keeps per-shard load within a few
+/// percent of uniform for any address-assignment policy while remaining
+/// deterministic across runs.
+fn shard_of(client: IpAddr, shards: usize) -> usize {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |bytes: &[u8]| {
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    match client {
+        IpAddr::V4(a) => mix(&a.octets()),
+        IpAddr::V6(a) => mix(&a.octets()),
+    }
+    (hash % shards.max(1) as u64) as usize
+}
 
 /// What a batch item tells the worker to do.
 #[derive(Debug, Clone, Copy)]
@@ -108,14 +146,14 @@ enum ItemKind {
     /// A TCP segment from the DNS port: the byte range is the payload,
     /// framed per RFC 1035 §4.2.2 (2-byte length prefixes).
     DnsTcp { client: IpAddr },
-    /// A user data segment, pre-parsed by the dispatcher: flow
+    /// A user data segment, pre-parsed by the router: flow
     /// reconstruction + tagging (Fig. 1 fast path). The item's byte range
     /// holds only the payload prefix the flow record's DPI head still
     /// wants — usually nothing once a flow's first ~[`DPI_SNAP`] bytes per
     /// direction have shipped — so the channel moves tens of bytes per
     /// segment instead of whole frames, and the worker never re-parses.
     Seg(CompactSeg),
-    /// Run one eviction scan — the dispatcher's replica of the sequential
+    /// Run one eviction scan — the router's replica of the sequential
     /// interval gate fired at this frame.
     Tick,
     /// Retire every windowed-analytics bucket strictly below `horizon` and
@@ -136,14 +174,14 @@ struct Item {
 }
 
 /// A batch of items plus the arena holding their payload bytes. Recycled
-/// between worker and dispatcher so steady-state ingest allocates nothing.
+/// between worker and router so steady-state ingest allocates nothing.
 #[derive(Default)]
 struct Batch {
     items: Vec<Item>,
     bytes: Vec<u8>,
 }
 
-/// The dispatcher's mirror of one live flow: which shard owns it, which
+/// The router's mirror of one live flow: which shard owns it, which
 /// endpoint initiated it, and exactly the state the worker's flow table
 /// consults when deciding evictions (`last_ts`, TCP terminal state) — kept
 /// in lock-step so the routing table prunes entries at the same tick the
@@ -154,7 +192,7 @@ struct Route {
     shard: usize,
     client: IpAddr,
     client_port: u16,
-    /// When this flow record started — the dispatcher's replica of
+    /// When this flow record started — the router's replica of
     /// `FlowRecord::first_ts`, reset on SYN port-reuse renewal exactly as
     /// the worker's table resets it. The rotation horizon clamps to the
     /// minimum of these so no window a live flow can still touch is
@@ -162,39 +200,16 @@ struct Route {
     first_ts: u64,
     last_ts: u64,
     tcp: TcpTracker,
-    /// Bytes of each direction's DPI head already shipped — the
-    /// dispatcher's replica of `FlowRecord::head_{c2s,s2c}.len()`, so it
-    /// can truncate segment payloads to exactly the prefix the worker's
-    /// record will still consume (capped at [`DPI_SNAP`]).
+    /// Bytes of each direction's DPI head already shipped — the router's
+    /// replica of `FlowRecord::head_{c2s,s2c}.len()`, so it can truncate
+    /// segment payloads to exactly the prefix the worker's record will
+    /// still consume (capped at [`DPI_SNAP`]).
     head_c2s: u16,
     head_s2c: u16,
 }
 
-/// The order-sensitive routing state, owned by exactly one dispatcher at a
-/// time. The push-mode driver holds it for the whole run; [`run_records`]
-/// threads it through its dispatchers over capacity-1 token rings, in
-/// slice order, so the flow-routing table, the eviction clock and the
-/// warm-up anchor observe frames in exactly trace order.
-#[derive(Default)]
-struct RouterState {
-    routes: FnvHashMap<CanonFlowKey, Route>,
-    last_eviction: u64,
-    /// Lazy min-heap of prune candidates `(deadline, key)` — the
-    /// dispatcher-side mirror of the flow table's expiry heap, so each
-    /// prune pass touches only routes whose deadline has passed instead of
-    /// retaining over the whole table. Entries are lower bounds (pushed on
-    /// insert, port-reuse renewal, and terminal transition; re-pushed at
-    /// the current deadline when the exact predicate says "not yet"), so
-    /// a route is always re-examined no later than it can expire — prunes
-    /// stay in lock-step with the workers' evictions.
-    prune_heap: BinaryHeap<Reverse<(u64, CanonFlowKey)>>,
-    /// Whether some dispatcher already saw the trace's first frame and
-    /// broadcast the `Start` anchor.
-    started: bool,
-}
-
 /// First instant at which `route` can satisfy the prune predicate in
-/// [`Dispatcher::prune_routes`] if it sees no further traffic — the mirror
+/// [`Router::prune_routes`] if it sees no further traffic — the mirror
 /// of `FlowTable`'s expiry deadline.
 fn route_deadline(route: &Route, idle: u64, linger: u64) -> u64 {
     let ttl = if route.tcp.state().is_terminal() {
@@ -205,7 +220,7 @@ fn route_deadline(route: &Route, idle: u64, linger: u64) -> u64 {
     route.last_ts.saturating_add(ttl)
 }
 
-/// Dispatcher-side handle for one shard worker.
+/// Router-side handle for one shard worker.
 struct WorkerLink {
     tx: Sender<Batch>,
     recycle_rx: Receiver<Batch>,
@@ -218,32 +233,33 @@ struct WorkerLink {
 
 /// Busy-time decomposition of one pipeline run, for the throughput
 /// baseline. "Busy" excludes time blocked on channel waits (a full ring
-/// means the dispatcher is waiting for a slow shard, and on a one-core
-/// host it means the worker is running *on the dispatcher's core*), so
-/// even with fewer cores than pipeline threads the per-stage busy time
-/// still measures each stage's real CPU cost. Accumulated in nanoseconds
-/// internally: the dispatcher's per-frame window is sub-microsecond, so
-/// microsecond accumulation would truncate most of it to zero.
+/// means the router is waiting for a slow shard, and on a one-core host it
+/// means the worker is running *on the router's core*), so even with fewer
+/// cores than pipeline threads the per-stage busy time still measures each
+/// stage's real CPU cost. Accumulated in nanoseconds internally: the
+/// router's per-frame window is sub-microsecond, so microsecond
+/// accumulation would truncate most of it to zero.
 #[derive(Debug, Clone)]
 pub struct PipelineTimings {
     /// Worker count the pipeline ran with.
     pub workers: usize,
-    /// Dispatcher count ([`run_records`]'s `D`; always 1 in push mode).
+    /// Dispatcher count: parse lanes, the caller included.
     pub dispatchers: usize,
-    /// Total dispatcher CPU time (parse + route + batch building) summed
-    /// over all dispatchers, µs — blocking channel sends excluded.
+    /// Total dispatch CPU time (parse + route + batch building) summed
+    /// over all parse lanes, µs — blocking ring waits excluded. With one
+    /// dispatcher this and the two fields below are scaled up from a
+    /// one-in-`TIMING_SAMPLE` frame sample.
     pub dispatch_busy_micros: u64,
-    /// Per-dispatcher CPU time of the *parallel* phase (flat-parsing its
-    /// trace slice), µs. Push mode has no separate parse phase and
-    /// reports its whole dispatch busy time here.
+    /// Per-lane CPU time spent flat-parsing frames, µs, lane 0 (the
+    /// caller) first.
     pub dispatcher_busy_micros: Vec<u64>,
-    /// CPU time of the token-serialized routing phase summed over all
-    /// dispatchers, µs — the pipeline's sequential section, so it bounds
+    /// The caller's CPU time outside parsing (routing, batch building,
+    /// chunk dealing), µs — the pipeline's sequential section, so it bounds
     /// dispatcher scaling the way `max(dispatcher_busy_micros)` bounds
-    /// parse scaling. Zero in push mode (routing is inlined in the single
-    /// dispatcher's busy time).
+    /// parse scaling.
     pub route_busy_micros: u64,
-    /// Dispatcher time spent inside (possibly blocking) channel sends, µs.
+    /// Caller time spent blocked on rings (worker sends, parse-lane
+    /// hand-backs), µs.
     pub send_wait_micros: u64,
     /// Per-worker CPU time (engine work + DNS decode + final flush), µs.
     pub worker_busy_micros: Vec<u64>,
@@ -251,42 +267,47 @@ pub struct PipelineTimings {
     pub intern: InternStats,
 }
 
-/// What one [`run_records`] dispatcher thread hands back to the merge.
-struct DispatcherOutput {
-    stats: SnifferStats,
-    trace_start: Option<u64>,
-    trace_end: Option<u64>,
-    parse_busy_nanos: u64,
-    route_busy_nanos: u64,
-    send_wait_nanos: u64,
-}
-
-/// The routing half of a dispatcher: links to every shard worker plus the
-/// counters the merge needs. Shared by the push-mode [`ParallelSniffer`]
-/// (one, on the caller's thread) and [`run_records`] (one per dispatcher
-/// thread).
-struct Dispatcher {
+/// The routing stage: links to every shard worker, the order-sensitive
+/// routing state, and the counters the merge needs. Lives on the caller's
+/// thread and sees every frame in trace order, so the flow-routing table,
+/// the eviction clock and the warm-up anchor evolve exactly as the
+/// sequential sniffer's would.
+struct Router {
     dns_port: u16,
     eviction_interval: u64,
     idle_timeout: u64,
     terminal_linger: u64,
     links: Vec<WorkerLink>,
-    /// Dispatcher-side counters (frames, parse faults, DNS queries);
-    /// worker engines count the rest, and the merge sums both.
+    routes: FnvHashMap<CanonFlowKey, Route>,
+    last_eviction: u64,
+    /// Lazy min-heap of prune candidates `(deadline, key)` — the
+    /// router-side mirror of the flow table's expiry heap, so each prune
+    /// pass touches only routes whose deadline has passed instead of
+    /// retaining over the whole table. Entries are lower bounds (pushed on
+    /// insert, port-reuse renewal, and terminal transition; re-pushed at
+    /// the current deadline when the exact predicate says "not yet"), so
+    /// a route is always re-examined no later than it can expire — prunes
+    /// stay in lock-step with the workers' evictions.
+    prune_heap: BinaryHeap<Reverse<(u64, CanonFlowKey)>>,
+    /// Router-side counters (frames, parse faults, DNS queries); worker
+    /// engines count the rest, and the merge sums both.
     stats: SnifferStats,
     trace_start: Option<u64>,
     trace_end: Option<u64>,
     send_wait_nanos: u64,
 }
 
-impl Dispatcher {
+impl Router {
     fn new(config: &SnifferConfig, links: Vec<WorkerLink>) -> Self {
-        Dispatcher {
+        Router {
             dns_port: config.dns_port,
             eviction_interval: config.flow_table.eviction_interval_micros,
             idle_timeout: config.flow_table.idle_timeout_micros,
             terminal_linger: config.flow_table.terminal_linger_micros,
             links,
+            routes: FnvHashMap::default(),
+            last_eviction: 0,
+            prune_heap: BinaryHeap::new(),
             stats: SnifferStats::default(),
             trace_start: None,
             trace_end: None,
@@ -295,14 +316,13 @@ impl Dispatcher {
     }
 
     /// Classify one flat-parsed frame and enqueue whatever its shard
-    /// worker needs — the dispatcher's whole per-frame job, identical for
-    /// both drivers. Same demultiplexing order as the sequential sniffer;
-    /// DNS frames route by the *client* (the responses' destination) so
-    /// bindings land on the shard that will tag that client's flows.
+    /// worker needs — the router's whole per-frame job. Same
+    /// demultiplexing order as the sequential sniffer; DNS frames route by
+    /// the *client* (the responses' destination) so bindings land on the
+    /// shard that will tag that client's flows.
     // lint_root(ingest): routes every captured frame, parsed or faulted
     fn route_frame(
         &mut self,
-        st: &mut RouterState,
         seq: u64,
         ts: u64,
         wire_len: u32,
@@ -310,8 +330,7 @@ impl Dispatcher {
     ) {
         self.stats.frames += 1;
         tm_count!(Tm::IngestFrames);
-        if !st.started {
-            st.started = true;
+        if self.trace_start.is_none() {
             self.trace_start = Some(ts);
             // Every shard anchors its warm-up window at the global trace
             // start, not its own first frame.
@@ -365,17 +384,17 @@ impl Dispatcher {
                 }
             }
         }
-        self.dispatch_data(st, seq, ts, seg);
+        self.dispatch_data(seq, ts, seg);
     }
 
     /// Route one user data segment to its flow's shard, mirroring the flow
     /// table's orientation rules, then run the eviction gate.
-    fn dispatch_data(&mut self, st: &mut RouterState, seq: u64, ts: u64, seg: &FlatSeg<'_>) {
+    fn dispatch_data(&mut self, seq: u64, ts: u64, seg: &FlatSeg<'_>) {
         let payload_len = seg.payload.len();
         let key = CanonFlowKey::of(seg.src, seg.src_port, seg.dst, seg.dst_port, seg.proto);
         let idle = self.idle_timeout;
         let linger = self.terminal_linger;
-        let (shard, head_take, push_deadline) = match st.routes.get_mut(&key) {
+        let (shard, head_take, push_deadline) = match self.routes.get_mut(&key) {
             Some(route) => {
                 // An existing entry fixes the orientation; the new-flow
                 // case below sets sender=initiator.
@@ -434,7 +453,7 @@ impl Dispatcher {
                     head_s2c: 0,
                 };
                 let deadline = route_deadline(&route, idle, linger);
-                st.routes.insert(key, route);
+                self.routes.insert(key, route);
                 (shard, take, Some(deadline))
             }
         };
@@ -442,7 +461,7 @@ impl Dispatcher {
         // SYN-renewal, and terminal transition are the events that can move
         // a route's prune deadline down, so each pushes a fresh candidate.
         if let Some(deadline) = push_deadline {
-            st.prune_heap.push(Reverse((deadline, key)));
+            self.prune_heap.push(Reverse((deadline, key)));
         }
         let (cseg, payload) = compact_seg(seg);
         let head = payload.get(..head_take).unwrap_or(payload);
@@ -452,9 +471,9 @@ impl Dispatcher {
         // runs *after* that frame — so the tick follows the data item in
         // its shard's queue, and every shard scans at the same trace times
         // the single-threaded table would.
-        if ts.saturating_sub(st.last_eviction) >= self.eviction_interval {
-            st.last_eviction = ts;
-            self.prune_routes(st, ts);
+        if ts.saturating_sub(self.last_eviction) >= self.eviction_interval {
+            self.last_eviction = ts;
+            self.prune_routes(ts);
             for shard in 0..self.links.len() {
                 self.push_item(shard, ItemKind::Tick, seq, ts, &[]);
             }
@@ -466,24 +485,24 @@ impl Dispatcher {
     /// `last_ts`/terminal state (kept in lock-step by `dispatch_data`), at
     /// the same tick times. A later packet on such a 5-tuple then starts a
     /// fresh flow with sender-as-initiator on both sides.
-    fn prune_routes(&self, st: &mut RouterState, now: u64) {
+    fn prune_routes(&mut self, now: u64) {
         let idle = self.idle_timeout;
         let linger = self.terminal_linger;
-        while let Some(&Reverse((deadline, key))) = st.prune_heap.peek() {
+        while let Some(&Reverse((deadline, key))) = self.prune_heap.peek() {
             if deadline > now {
                 break; // every remaining candidate is provably still alive
             }
-            st.prune_heap.pop();
-            let Some(r) = st.routes.get(&key) else {
+            self.prune_heap.pop();
+            let Some(r) = self.routes.get(&key) else {
                 continue; // stale: route already pruned via an earlier entry
             };
             let silent = now.saturating_sub(r.last_ts);
             if silent >= idle || (r.tcp.state().is_terminal() && silent >= linger) {
-                st.routes.remove(&key);
+                self.routes.remove(&key);
             } else {
                 // Activity extended the deadline past this (lower-bound)
                 // entry; re-arm at the route's current deadline.
-                st.prune_heap
+                self.prune_heap
                     .push(Reverse((route_deadline(r, idle, linger), key)));
             }
         }
@@ -543,7 +562,7 @@ impl Dispatcher {
 
     /// Send a shard's outbox in one batched ring operation. Send time is
     /// accounted separately from dispatch busy time: a full ring means the
-    /// dispatcher is *waiting* on a slow shard.
+    /// router is *waiting* on a slow shard.
     fn send_outbox(&mut self, shard: usize) {
         let Some(link) = self.links.get_mut(shard) else {
             return;
@@ -574,37 +593,65 @@ impl Dispatcher {
     }
 }
 
+/// One parse lane besides the caller: a thread that flat-parses the record
+/// chunks it is dealt and hands each back on its return ring.
+struct ParseLane {
+    tx: Sender<SegBatch>,
+    rx: Receiver<SegBatch>,
+    /// Returns the lane's parse busy time (ns).
+    handle: JoinHandle<u64>,
+}
+
+/// A sealed record chunk awaiting routing, in chunk order.
+enum Chunk {
+    /// Parsed on the caller's thread (lane 0).
+    Parsed(SegBatch),
+    /// Dealt to parse lane `i` (`lanes[i]`); comes back on its ring.
+    Lane(usize),
+}
+
 /// Multi-core variant of [`crate::RealTimeSniffer`]: same input API, same
 /// [`SnifferReport`] (byte-identical — see the module docs), `N` shard
-/// workers doing the heavy lifting behind a single caller-thread
-/// dispatcher. For offline traces, [`run_records`] additionally shards the
-/// dispatcher.
+/// workers doing the heavy lifting behind the caller-thread router, and
+/// optionally `D - 1` parse-lane threads taking the flat parse off it.
 ///
 /// Policy enforcement (the `process_frame_with_policy` path) stays on the
 /// sequential sniffer: an enforcer is a synchronous admission hook, which
 /// would reserialize the workers.
 pub struct ParallelSniffer {
     config: SnifferConfig,
-    dispatcher: Dispatcher,
-    state: RouterState,
+    router: Router,
     handles: Vec<JoinHandle<(ShardOutput, u64)>>,
     /// Receive half of each worker's capacity-1 rotation ring, shard
     /// order; [`ParallelSniffer::rotate`] blocks on one reply per worker.
     rotation_rxs: Vec<Receiver<RotateReply>>,
     seq: u64,
     busy_nanos: u64,
-    /// Per-worker telemetry registries, present only when the constructing
-    /// thread had one bound. Workers bind theirs for their thread's
-    /// lifetime; `finish` folds them into the dispatcher's registry so the
-    /// final stable-class snapshot equals the sequential run's.
-    worker_registries: Vec<std::sync::Arc<telemetry::Registry>>,
+    /// Parse lanes `1..D`; empty with one dispatcher, where the caller
+    /// parses and routes each frame inline, with no chunking at all.
+    lanes: Vec<ParseLane>,
+    /// The chunk collecting records for the next lane.
+    filling: SegBatch,
+    /// Sealed chunks not routed yet, oldest first — at most one per lane.
+    in_flight: VecDeque<Chunk>,
+    /// Routed chunks kept for reuse.
+    spare_chunks: Vec<SegBatch>,
+    /// The lane (0 = caller) the next sealed chunk goes to.
+    next_lane: usize,
+    /// The caller's own parse time (ns), part of `busy_nanos`.
+    parse_nanos: u64,
+    /// Telemetry registries of every pipeline thread (workers, then parse
+    /// lanes), present only when the constructing thread had one bound.
+    /// Each thread binds its own for its lifetime; `finish` folds them
+    /// into the caller's registry so the final stable-class snapshot
+    /// equals the sequential run's.
+    thread_registries: Vec<Arc<telemetry::Registry>>,
 }
 
 impl ParallelSniffer {
     /// Spawn `workers` shard threads (at least one). Each worker gets its
-    /// slice of the Clist budget `L`, partitioned exactly as
-    /// `ShardedResolver::new` partitions it (§3.1.1 — sharding splits the
-    /// §4.2 memory budget, it does not multiply it).
+    /// slice of the Clist budget `L` (§3.1.1 — sharding splits the §4.2
+    /// memory budget, it does not multiply it).
     pub fn new(config: SnifferConfig, workers: usize) -> Self {
         Self::build(config, workers, None)
     }
@@ -626,15 +673,10 @@ impl ParallelSniffer {
         workers: usize,
         mut make_sink: Option<&mut dyn FnMut(usize) -> Box<dyn FlowSink>>,
     ) -> Self {
-        let workers = workers.max(1);
+        let workers = workers.clamp(1, MAX_PIPELINE_THREADS);
         let mut links = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
-        let telemetry_on = telemetry::is_bound();
-        // Captured on the constructing thread: workers bind their own
-        // flight-recorder lanes off the same set, so one `--trace-out`
-        // export shows every thread of this pipeline.
-        let trace = telemetry::trace_set();
-        let mut worker_registries = Vec::new();
+        let mut thread_registries = Vec::new();
         let mut rotation_rxs = Vec::with_capacity(workers);
         for (shard, engine) in shard_engines(&config, workers, &mut make_sink)
             .into_iter()
@@ -644,22 +686,9 @@ impl ParallelSniffer {
             let (recycle_tx, recycle_rx) = ring::channel::<Batch>(RECYCLE_BATCHES);
             let (rotate_tx, rotate_rx) = ring::channel::<RotateReply>(1);
             rotation_rxs.push(rotate_rx);
-            let registry = telemetry_on.then(|| {
-                let reg = std::sync::Arc::new(telemetry::Registry::new());
-                worker_registries.push(std::sync::Arc::clone(&reg));
-                reg
-            });
-            let trace = trace.clone();
+            let (registry, trace) = thread_telemetry(&mut thread_registries);
             handles.push(std::thread::spawn(move || {
-                worker_loop(
-                    engine,
-                    shard,
-                    vec![rx],
-                    vec![recycle_tx],
-                    Some(rotate_tx),
-                    registry,
-                    trace,
-                )
+                worker_loop(engine, shard, rx, recycle_tx, rotate_tx, registry, trace)
             }));
             links.push(WorkerLink {
                 tx,
@@ -669,17 +698,40 @@ impl ParallelSniffer {
                 spares: Vec::with_capacity(RECYCLE_BATCHES),
             });
         }
-        let dispatcher = Dispatcher::new(&config, links);
         ParallelSniffer {
+            router: Router::new(&config, links),
             config,
-            dispatcher,
-            state: RouterState::default(),
             handles,
             rotation_rxs,
             seq: 0,
             busy_nanos: 0,
-            worker_registries,
+            lanes: Vec::new(),
+            filling: SegBatch::default(),
+            in_flight: VecDeque::new(),
+            spare_chunks: Vec::new(),
+            next_lane: 0,
+            parse_nanos: 0,
+            thread_registries,
         }
+    }
+
+    /// Use `dispatchers` parse lanes (at least one; the caller is lane 0):
+    /// spawns the `dispatchers - 1` lane threads, which flat-parse
+    /// [`SEG_BATCH_FRAMES`]-record chunks while the caller routes. Call
+    /// right after construction, on the constructing thread — lanes bind
+    /// the telemetry registry and flight recorder they find there.
+    pub fn with_dispatchers(mut self, dispatchers: usize) -> Self {
+        let extra = dispatchers.clamp(1, MAX_PIPELINE_THREADS) - 1;
+        for index in 1..=extra {
+            let (tx, lane_rx) = ring::channel::<SegBatch>(LANE_CHUNKS);
+            let (lane_tx, rx) = ring::channel::<SegBatch>(LANE_CHUNKS);
+            let (registry, trace) = thread_telemetry(&mut self.thread_registries);
+            let handle = std::thread::spawn(move || {
+                parse_lane_loop(index as u16, lane_rx, lane_tx, registry, trace)
+            });
+            self.lanes.push(ParseLane { tx, rx, handle });
+        }
+        self
     }
 
     /// Retire windowed-analytics buckets below the rotation horizon on
@@ -688,21 +740,22 @@ impl ParallelSniffer {
     /// flow's start (the routing table's `first_ts` minimum — the mirror
     /// of the sequential sniffer's `FlowTable::oldest_live_first_ts`), so
     /// no window a live flow can still contribute to is emitted early.
-    /// Runs as a barrier: a `Rotate` item is broadcast to every shard,
-    /// pending batches flush, and the call blocks until each worker
-    /// answers on its capacity-1 rotation ring — cheap at rotation cadence,
-    /// and it pins retirement to the same packet-clock instant at every
-    /// worker count.
+    /// Runs as a barrier: every record seen so far is routed, a `Rotate`
+    /// item is broadcast to every shard, pending batches flush, and the
+    /// call blocks until each worker answers on its capacity-1 rotation
+    /// ring — cheap at rotation cadence, and it pins retirement to the
+    /// same packet-clock instant at every worker and dispatcher count.
     // lint_root(determinism): rotation barrier fires identically at every worker count
     pub fn rotate(&mut self, clock: u64) -> (u64, Vec<Vec<(u64, StreamingAnalytics)>>) {
-        let oldest = self.state.routes.values().map(|r| r.first_ts).min();
+        self.route_all_chunks();
+        let oldest = self.router.routes.values().map(|r| r.first_ts).min();
         let horizon = oldest.map_or(clock, |t| t.min(clock));
         let seq = self.seq;
-        for shard in 0..self.dispatcher.links.len() {
-            self.dispatcher
+        for shard in 0..self.router.links.len() {
+            self.router
                 .push_item(shard, ItemKind::Rotate { horizon }, seq, clock, &[]);
         }
-        self.dispatcher.flush_all();
+        self.router.flush_all();
         let mut replies = Vec::with_capacity(self.rotation_rxs.len());
         for rx in &self.rotation_rxs {
             // `None` = the worker died; treat as "nothing retired" and let
@@ -712,15 +765,15 @@ impl ParallelSniffer {
         (horizon, replies)
     }
 
-    /// Merged point-in-time copy of the *workers'* telemetry cells — empty
-    /// unless a registry was bound when the sniffer was built. A live view
-    /// (the `--metrics` mode) adds this to a snapshot of the dispatcher
-    /// thread's own registry; mid-run values are racy but monotone, and
-    /// the final post-`finish` snapshot comes from the merged dispatcher
-    /// registry instead.
-    pub fn worker_telemetry_snapshot(&self) -> telemetry::Snapshot {
+    /// Merged point-in-time copy of the pipeline threads' telemetry cells
+    /// (workers and parse lanes) — empty unless a registry was bound when
+    /// the sniffer was built. A live view (the `--metrics` mode) adds this
+    /// to a snapshot of the caller's own registry; mid-run values are racy
+    /// but monotone, and the final post-`finish` snapshot comes from the
+    /// merged caller registry instead.
+    pub fn thread_telemetry_snapshot(&self) -> telemetry::Snapshot {
         let mut snap = telemetry::Snapshot::default();
-        for reg in &self.worker_registries {
+        for reg in &self.thread_registries {
             snap.merge(&reg.snapshot());
         }
         snap
@@ -728,32 +781,138 @@ impl ParallelSniffer {
 
     /// Worker count.
     pub fn workers(&self) -> usize {
-        self.dispatcher.links.len()
+        self.router.links.len()
     }
 
     /// Process one pcap record.
-    // lint_root(ingest): dispatcher entry, one call per pcap record
+    // lint_root(ingest): router entry, one call per pcap record
     pub fn process_record(&mut self, rec: &PcapRecord) {
         self.process_frame(rec.timestamp_micros(), &rec.frame);
     }
 
     /// Dispatch one raw Ethernet frame: flat-parse ([`parse_flat`], no
     /// payload copy), classify exactly as the sequential sniffer does, and
-    /// enqueue it for the owning shard.
-    // lint_root(ingest): dispatcher entry, one call per captured frame
+    /// enqueue it for the owning shard. With parse lanes, the frame's bytes
+    /// are appended to the filling chunk instead, which is dealt to its
+    /// lane once full.
+    // lint_root(ingest): router entry, one call per captured frame
     pub fn process_frame(&mut self, ts: u64, frame: &[u8]) {
-        let t0 = Instant::now();
-        // Blocking sends inside this frame's window are counted by
-        // `send_outbox` into `send_wait_nanos`; subtract them so busy time
-        // is dispatcher CPU only.
-        let send_before = self.dispatcher.send_wait_nanos;
+        if !self.lanes.is_empty() {
+            self.filling.push(ts, frame);
+            if self.filling.is_full() {
+                self.busy(Self::seal_chunk);
+            }
+            return;
+        }
         let seq = self.seq;
         self.seq += 1;
+        if !seq.is_multiple_of(TIMING_SAMPLE) {
+            let parse = parse_flat(frame);
+            self.router.route_frame(seq, ts, frame.len() as u32, &parse);
+            return;
+        }
+        // A sampled frame: parse and route are timed apart, as with parse
+        // lanes, so the timings split the caller's work the same way at any
+        // lane count.
+        let t0 = Instant::now();
+        let wait_before = self.router.send_wait_nanos;
         let parse = parse_flat(frame);
-        self.dispatcher
-            .route_frame(&mut self.state, seq, ts, frame.len() as u32, &parse);
+        let parsed = t0.elapsed().as_nanos() as u64;
+        self.router.route_frame(seq, ts, frame.len() as u32, &parse);
+        let busy = (t0.elapsed().as_nanos() as u64)
+            .saturating_sub(self.router.send_wait_nanos - wait_before);
+        self.parse_nanos += parsed * TIMING_SAMPLE;
+        self.busy_nanos += busy * TIMING_SAMPLE;
+    }
+
+    /// Run `work` on the router, adding its time to the busy total minus
+    /// the ring waits inside it (counted into `send_wait_nanos`), so busy
+    /// time is router CPU only.
+    fn busy(&mut self, work: impl FnOnce(&mut Self)) {
+        // allow_lint(L7): wall-clock here feeds only the busy-time split;
+        // no emitted byte depends on it
+        let t0 = Instant::now();
+        let wait_before = self.router.send_wait_nanos;
+        work(self);
         self.busy_nanos += (t0.elapsed().as_nanos() as u64)
-            .saturating_sub(self.dispatcher.send_wait_nanos - send_before);
+            .saturating_sub(self.router.send_wait_nanos - wait_before);
+    }
+
+    /// Deal the filling chunk to the next lane, round-robin: lane 0 (this
+    /// thread) parses it right away, any other lane on its own thread. A
+    /// lane's previous chunk was dealt one full round earlier; routing the
+    /// oldest chunks until fewer than one round is in flight guarantees it
+    /// is back, so a lane never holds more than one chunk.
+    fn seal_chunk(&mut self) {
+        if self.filling.is_empty() {
+            return;
+        }
+        let lanes = self.lanes.len() + 1;
+        while self.in_flight.len() >= lanes {
+            self.route_oldest_chunk();
+        }
+        let next = self.spare_chunks.pop().unwrap_or_default();
+        let mut chunk = std::mem::replace(&mut self.filling, next);
+        let lane = self.next_lane;
+        self.next_lane = (lane + 1) % lanes;
+        match lane
+            .checked_sub(1)
+            .and_then(|i| self.lanes.get(i).map(|l| (i, l)))
+        {
+            Some((i, parse_lane)) => {
+                // Fails only if the lane died; its chunk is then lost and
+                // the hand-back below yields nothing.
+                let _ = parse_lane.tx.send(chunk);
+                self.in_flight.push_back(Chunk::Lane(i));
+            }
+            None => {
+                self.parse_nanos += parse_chunk(&mut chunk);
+                self.in_flight.push_back(Chunk::Parsed(chunk));
+            }
+        }
+    }
+
+    /// Route the oldest in-flight chunk, frame by frame, stamping each with
+    /// the next sequence number.
+    fn route_oldest_chunk(&mut self) {
+        let chunk = match self.in_flight.pop_front() {
+            Some(Chunk::Parsed(chunk)) => Some(chunk),
+            Some(Chunk::Lane(i)) => {
+                // allow_lint(L7): wall-clock here feeds only the wait-time
+                // split; no emitted byte depends on it
+                let t0 = Instant::now();
+                let chunk = self.lanes.get(i).and_then(|lane| lane.rx.recv());
+                self.router.send_wait_nanos += t0.elapsed().as_nanos() as u64;
+                chunk
+            }
+            None => None,
+        };
+        let Some(mut chunk) = chunk else {
+            return;
+        };
+        for frame in chunk.frames() {
+            let seq = self.seq;
+            self.seq += 1;
+            self.router
+                .route_frame(seq, frame.ts, frame.wire_len, &frame.parse);
+        }
+        chunk.clear();
+        self.spare_chunks.push(chunk);
+    }
+
+    /// Route every record seen so far: seal the partial chunk and drain the
+    /// in-flight ones. A no-op with one dispatcher, where each frame is
+    /// routed as it arrives. A live source calls this whenever it goes
+    /// idle, so no record waits unrouted for a chunk to fill; chunk
+    /// boundaries never change the output, since sequence numbers are
+    /// stamped at routing time.
+    pub fn route_all_chunks(&mut self) {
+        self.busy(|s| {
+            s.seal_chunk();
+            while !s.in_flight.is_empty() {
+                s.route_oldest_chunk();
+            }
+        });
     }
 
     /// End of trace: flush every pending batch, close the channels, join
@@ -778,10 +937,17 @@ impl ParallelSniffer {
     }
 
     fn finish_full(mut self) -> (SnifferReport, PipelineTimings, Vec<Box<dyn FlowSink>>) {
-        self.dispatcher.flush_all();
+        self.route_all_chunks();
+        // Dropping a lane's sender closes its ring; the lane exits.
+        let mut lane_parse_nanos = Vec::with_capacity(self.lanes.len());
+        for lane in std::mem::take(&mut self.lanes) {
+            drop(lane.tx);
+            lane_parse_nanos.push(lane.handle.join().unwrap_or(0));
+        }
+        self.router.flush_all();
         // Dropping the links drops the senders, which closes each ring;
         // workers drain what is queued, flush their engines and return.
-        let links = std::mem::take(&mut self.dispatcher.links);
+        let links = std::mem::take(&mut self.router.links);
         let workers = links.len();
         drop(links);
         let mut outputs = Vec::with_capacity(workers);
@@ -797,31 +963,37 @@ impl ParallelSniffer {
         let sinks: Vec<Box<dyn FlowSink>> =
             outputs.iter_mut().filter_map(|o| o.sink.take()).collect();
         let intern = fold_intern(&outputs);
-        // The joins above are the happens-before edge: every worker-side
-        // relaxed store is visible, so folding the per-shard registries
-        // into the dispatcher's yields exact totals — and, for the stable
+        // The joins above are the happens-before edge: every thread-side
+        // relaxed store is visible, so folding the per-thread registries
+        // into the caller's yields exact totals — and, for the stable
         // class, the same values a sequential run records.
-        tm_count!(Tm::DispatchBusyNanos, self.busy_nanos);
-        tm_count!(Tm::SendWaitNanos, self.dispatcher.send_wait_nanos);
-        for reg in &self.worker_registries {
+        let lanes_nanos: u64 = lane_parse_nanos.iter().sum();
+        tm_count!(Tm::DispatchBusyNanos, self.busy_nanos + lanes_nanos);
+        tm_count!(Tm::SendWaitNanos, self.router.send_wait_nanos);
+        for reg in &self.thread_registries {
             telemetry::merge_into_bound(reg);
         }
         let report = assemble_report(
             outputs,
-            std::mem::take(&mut self.dispatcher.stats),
-            self.dispatcher.trace_start,
-            self.dispatcher.trace_end,
+            std::mem::take(&mut self.router.stats),
+            self.router.trace_start,
+            self.router.trace_end,
             self.config.warmup_micros,
         );
+        let route_busy = self.busy_nanos.saturating_sub(self.parse_nanos);
+        let dispatcher_busy_micros = std::iter::once(self.parse_nanos)
+            .chain(lane_parse_nanos)
+            .map(|nanos| nanos / 1_000)
+            .collect::<Vec<_>>();
         (
             report,
             PipelineTimings {
                 workers,
-                dispatchers: 1,
-                dispatch_busy_micros: self.busy_nanos / 1_000,
-                dispatcher_busy_micros: vec![self.busy_nanos / 1_000],
-                route_busy_micros: 0,
-                send_wait_micros: self.dispatcher.send_wait_nanos / 1_000,
+                dispatchers: dispatcher_busy_micros.len(),
+                dispatch_busy_micros: (self.busy_nanos + lanes_nanos) / 1_000,
+                dispatcher_busy_micros,
+                route_busy_micros: route_busy / 1_000,
+                send_wait_micros: self.router.send_wait_nanos / 1_000,
                 worker_busy_micros,
                 intern,
             },
@@ -830,234 +1002,44 @@ impl ParallelSniffer {
     }
 }
 
-/// Run a whole in-memory trace through the sharded pipeline with `workers`
-/// shard threads *and* `dispatchers` dispatcher threads, returning the
-/// merged report (byte-identical to [`crate::RealTimeSniffer`]'s — see the
-/// module docs) plus the busy-time decomposition.
-///
-/// Each dispatcher owns one contiguous slice of `records` and flat-parses
-/// it concurrently with the others; frame `i`'s sequence number is simply
-/// `i`, so stamping needs no coordination. The order-sensitive routing
-/// pass then runs under a state token passed dispatcher-to-dispatcher in
-/// slice order, and each dispatcher closes its worker rings before handing
-/// the token on — so worker `w`, draining its per-dispatcher rings in that
-/// same order, observes items in strictly increasing sequence order.
-// lint_root(ingest): offline-trace pipeline entry, consumes raw records
+/// Run a whole in-memory trace through [`ParallelSniffer`] with `workers`
+/// shard threads and `dispatchers` parse lanes (capped at one lane per
+/// [`SEG_BATCH_FRAMES`]-record chunk), returning the merged report
+/// (byte-identical to [`crate::RealTimeSniffer`]'s — see the module docs)
+/// plus the busy-time decomposition.
 pub fn run_records(
     config: &SnifferConfig,
     workers: usize,
     dispatchers: usize,
     records: &[PcapRecord],
 ) -> (SnifferReport, PipelineTimings) {
-    let (report, timings, _) = run_records_full(config, workers, dispatchers, records, None);
-    (report, timings)
+    let chunks = records.len().div_ceil(SEG_BATCH_FRAMES).max(1);
+    let mut sniffer =
+        ParallelSniffer::new(config.clone(), workers).with_dispatchers(dispatchers.min(chunks));
+    for rec in records {
+        sniffer.process_record(rec);
+    }
+    sniffer.finish_with_timings()
 }
 
-/// [`run_records`], additionally installing a streaming analytics sink per
-/// worker (`make_sink(shard)`, as in [`ParallelSniffer::with_sinks`]) and
-/// handing the per-shard partials back in shard order.
-pub fn run_records_with_sinks(
-    config: &SnifferConfig,
-    workers: usize,
-    dispatchers: usize,
-    records: &[PcapRecord],
-    make_sink: &mut dyn FnMut(usize) -> Box<dyn FlowSink>,
-) -> (SnifferReport, PipelineTimings, Vec<Box<dyn FlowSink>>) {
-    run_records_full(config, workers, dispatchers, records, Some(make_sink))
-}
-
-fn run_records_full(
-    config: &SnifferConfig,
-    workers: usize,
-    dispatchers: usize,
-    records: &[PcapRecord],
-    mut make_sink: Option<&mut dyn FnMut(usize) -> Box<dyn FlowSink>>,
-) -> (SnifferReport, PipelineTimings, Vec<Box<dyn FlowSink>>) {
-    let workers = workers.clamp(1, MAX_PIPELINE_THREADS);
-    // A dispatcher per record at most: empty slices would idle a thread
-    // and its rings for nothing (and a record-less trace still runs one
-    // dispatcher so the merge shape stays uniform).
-    let dispatchers = dispatchers
-        .clamp(1, records.len().max(1))
-        .min(MAX_PIPELINE_THREADS);
-    let telemetry_on = telemetry::is_bound();
-    // As in push mode: one trace set, captured here, lanes bound per thread.
-    let trace = telemetry::trace_set();
-    let engines = shard_engines(config, workers, &mut make_sink);
-
-    // One (data, recycle) ring pair per (dispatcher, worker) edge. Worker
-    // `w` drains `worker_rxs[w]` strictly in dispatcher order — the same
-    // order the routing token serializes sends — so its item stream is
-    // globally sequence-ordered.
-    let mut worker_rxs: Vec<Vec<Receiver<Batch>>> = (0..workers)
-        .map(|_| Vec::with_capacity(dispatchers.min(MAX_PIPELINE_THREADS)))
-        .collect();
-    let mut worker_recycles: Vec<Vec<Sender<Batch>>> = (0..workers)
-        .map(|_| Vec::with_capacity(dispatchers.min(MAX_PIPELINE_THREADS)))
-        .collect();
-    let mut dispatcher_links: Vec<Vec<WorkerLink>> = (0..dispatchers)
-        .map(|_| Vec::with_capacity(workers.min(MAX_PIPELINE_THREADS)))
-        .collect();
-    for links in dispatcher_links.iter_mut() {
-        for (rxs, recycles) in worker_rxs.iter_mut().zip(worker_recycles.iter_mut()) {
-            let (tx, rx) = ring::channel::<Batch>(CHANNEL_BATCHES);
-            let (recycle_tx, recycle_rx) = ring::channel::<Batch>(RECYCLE_BATCHES);
-            rxs.push(rx);
-            recycles.push(recycle_tx);
-            links.push(WorkerLink {
-                tx,
-                recycle_rx,
-                pending: Batch::default(),
-                outbox: Vec::with_capacity(OUTBOX_BATCHES),
-                spares: Vec::with_capacity(RECYCLE_BATCHES),
-            });
-        }
-    }
-
-    // Capacity-1 token rings chaining dispatcher d to d+1: dispatcher d
-    // sends on `token_txs[d]` (None for the last) and receives on
-    // `token_rxs[d]` (None for the first, which starts with the token).
-    let mut token_txs: Vec<Option<Sender<RouterState>>> = Vec::new();
-    let mut token_rxs: Vec<Option<Receiver<RouterState>>> = vec![None];
-    for _ in 1..dispatchers {
-        let (tx, rx) = ring::channel::<RouterState>(1);
-        token_txs.push(Some(tx));
-        token_rxs.push(Some(rx));
-    }
-    token_txs.push(None);
-
-    // Contiguous near-equal slices; sequence bases are the slices' start
-    // indices (frame seq == trace index, exactly the sequential stamping).
-    let slice_base = records.len() / dispatchers;
-    let slice_rem = records.len() % dispatchers;
-    let mut slices: Vec<(u64, &[PcapRecord])> =
-        Vec::with_capacity(dispatchers.min(MAX_PIPELINE_THREADS));
-    let mut rest = records;
-    let mut start = 0usize;
-    for d in 0..dispatchers {
-        let len = slice_base + usize::from(d < slice_rem);
-        let (head, tail) = rest.split_at(len);
-        slices.push((start as u64, head));
-        start += len;
-        rest = tail;
-    }
-
-    let mut worker_registries = Vec::new();
-    let mut dispatcher_registries = Vec::new();
-    let (disp_outs, worker_outs) = std::thread::scope(|s| {
-        let mut worker_handles = Vec::with_capacity(workers.min(MAX_PIPELINE_THREADS));
-        let rx_pairs = worker_rxs.into_iter().zip(worker_recycles);
-        for (shard, (engine, (rxs, recycles))) in engines.into_iter().zip(rx_pairs).enumerate() {
-            let registry = telemetry_on.then(|| {
-                let reg = std::sync::Arc::new(telemetry::Registry::new());
-                worker_registries.push(std::sync::Arc::clone(&reg));
-                reg
-            });
-            let trace = trace.clone();
-            // Rotation never runs under the multi-dispatcher driver (no
-            // single packet clock exists across concurrently-parsed
-            // slices), so these workers get no rotation ring.
-            worker_handles.push(
-                s.spawn(move || worker_loop(engine, shard, rxs, recycles, None, registry, trace)),
-            );
-        }
-        let mut disp_handles = Vec::with_capacity(dispatchers.min(MAX_PIPELINE_THREADS));
-        let disp_parts = dispatcher_links
-            .into_iter()
-            .zip(slices)
-            .zip(token_rxs.into_iter().zip(token_txs));
-        for (d, ((links, (seq_base, slice)), (token_rx, token_tx))) in disp_parts.enumerate() {
-            let disp = Dispatcher::new(config, links);
-            let registry = telemetry_on.then(|| {
-                let reg = std::sync::Arc::new(telemetry::Registry::new());
-                dispatcher_registries.push(std::sync::Arc::clone(&reg));
-                reg
-            });
-            let trace = trace.clone();
-            disp_handles.push(s.spawn(move || {
-                dispatcher_task(
-                    disp, d, slice, seq_base, token_rx, token_tx, registry, trace,
-                )
-            }));
-        }
-        let disp_outs: Vec<DispatcherOutput> = disp_handles
-            .into_iter()
-            .filter_map(|h| h.join().ok())
-            .collect();
-        let worker_outs: Vec<(ShardOutput, u64)> = worker_handles
-            .into_iter()
-            .filter_map(|h| h.join().ok())
-            .collect();
-        (disp_outs, worker_outs)
+/// The telemetry a new pipeline thread binds: a fresh registry (recorded in
+/// `registries` for the merge) when the calling thread has one bound, and
+/// the calling thread's flight-recorder set, so one `--trace-out` export
+/// shows every thread of the pipeline.
+fn thread_telemetry(
+    registries: &mut Vec<Arc<telemetry::Registry>>,
+) -> (Option<Arc<telemetry::Registry>>, Option<Arc<TraceSet>>) {
+    let registry = telemetry::is_bound().then(|| {
+        let reg = Arc::new(telemetry::Registry::new());
+        registries.push(Arc::clone(&reg));
+        reg
     });
-
-    // Merge the dispatcher partials. The trace anchor comes from the first
-    // dispatcher that saw a frame (= the owner of trace index 0).
-    let mut stats = SnifferStats::default();
-    let trace_start = disp_outs.iter().find_map(|o| o.trace_start);
-    let mut trace_end = None;
-    let mut parse_busy_nanos = 0u64;
-    let mut route_busy_nanos = 0u64;
-    let mut send_wait_nanos = 0u64;
-    let mut dispatcher_busy_micros = Vec::with_capacity(disp_outs.len().min(MAX_PIPELINE_THREADS));
-    for out in &disp_outs {
-        stats.absorb(&out.stats);
-        trace_end = match (trace_end, out.trace_end) {
-            (Some(a), Some(b)) => Some(std::cmp::max::<u64>(a, b)),
-            (a, b) => a.or(b),
-        };
-        parse_busy_nanos += out.parse_busy_nanos;
-        route_busy_nanos += out.route_busy_nanos;
-        send_wait_nanos += out.send_wait_nanos;
-        dispatcher_busy_micros.push(out.parse_busy_nanos / 1_000);
-    }
-
-    let mut shard_outputs = Vec::with_capacity(worker_outs.len().min(MAX_PIPELINE_THREADS));
-    let mut worker_busy_micros = Vec::with_capacity(worker_outs.len().min(MAX_PIPELINE_THREADS));
-    for (out, busy) in worker_outs {
-        shard_outputs.push(out);
-        worker_busy_micros.push(busy);
-    }
-    let sinks: Vec<Box<dyn FlowSink>> = shard_outputs
-        .iter_mut()
-        .filter_map(|o| o.sink.take())
-        .collect();
-    let intern = fold_intern(&shard_outputs);
-
-    // The joins above are the happens-before edge; fold every thread's
-    // registry into the caller's so the final stable-class snapshot equals
-    // the sequential run's.
-    tm_count!(Tm::DispatchBusyNanos, parse_busy_nanos + route_busy_nanos);
-    tm_count!(Tm::SendWaitNanos, send_wait_nanos);
-    for reg in dispatcher_registries.iter().chain(&worker_registries) {
-        telemetry::merge_into_bound(reg);
-    }
-    let report = assemble_report(
-        shard_outputs,
-        stats,
-        trace_start,
-        trace_end,
-        config.warmup_micros,
-    );
-    (
-        report,
-        PipelineTimings {
-            workers,
-            dispatchers,
-            dispatch_busy_micros: (parse_busy_nanos + route_busy_nanos) / 1_000,
-            dispatcher_busy_micros,
-            route_busy_micros: route_busy_nanos / 1_000,
-            send_wait_micros: send_wait_nanos / 1_000,
-            worker_busy_micros,
-            intern,
-        },
-        sinks,
-    )
+    (registry, telemetry::trace_set())
 }
 
-/// Build the `workers` shard engines, splitting the Clist budget exactly
-/// as `ShardedResolver::new` partitions it (§3.1.1 — sharding splits the
-/// §4.2 memory budget, it does not multiply it).
+/// Build the `workers` shard engines, splitting the Clist budget `L`
+/// across them (§3.1.1 — sharding splits the §4.2 memory budget, it does
+/// not multiply it): the first `L mod N` shards take one extra slot.
 fn shard_engines(
     config: &SnifferConfig,
     workers: usize,
@@ -1093,114 +1075,65 @@ fn fold_intern(outputs: &[ShardOutput]) -> InternStats {
     intern
 }
 
-/// One [`run_records`] dispatcher thread: flat-parse the slice (parallel
-/// phase), then take the routing token, route every frame in slice order,
-/// close this dispatcher's worker rings and pass the token on.
-// lint_root(ingest): per-dispatcher ingest over a raw trace slice
-#[allow(clippy::too_many_arguments)]
-fn dispatcher_task(
-    mut disp: Dispatcher,
-    index: usize,
-    slice: &[PcapRecord],
-    seq_base: u64,
-    token_rx: Option<Receiver<RouterState>>,
-    token_tx: Option<Sender<RouterState>>,
-    registry: Option<std::sync::Arc<telemetry::Registry>>,
-    trace: Option<std::sync::Arc<TraceSet>>,
-) -> DispatcherOutput {
-    // Bind this dispatcher's registry for the thread's lifetime, so its
-    // parse/route telemetry lands in cells the merge later folds in.
+/// Flat-parse one chunk on the current thread, recording a `parse` slice
+/// on its flight-recorder lane. Returns the parse time (ns).
+fn parse_chunk(chunk: &mut SegBatch) -> u64 {
+    // allow_lint(L7): wall-clock here feeds only the busy/wait-time split;
+    // no emitted byte depends on it
+    let t0 = Instant::now();
+    chunk.parse();
+    let nanos = t0.elapsed().as_nanos() as u64;
+    if telemetry::trace_enabled() {
+        tm_trace_wall!(Te::ChunkParse, 0, chunk.len() as u64, nanos);
+    }
+    nanos
+}
+
+/// One parse-lane thread: parse every chunk it is dealt and hand it back,
+/// until the router closes the ring. Returns the lane's parse time (ns).
+// lint_root(ingest): parse lane over raw captured records
+fn parse_lane_loop(
+    index: u16,
+    rx: Receiver<SegBatch>,
+    tx: Sender<SegBatch>,
+    registry: Option<Arc<telemetry::Registry>>,
+    trace: Option<Arc<TraceSet>>,
+) -> u64 {
+    // The lane's parse telemetry lands in its own registry (merged at
+    // finish) and its trace events in its own flight-recorder lane.
     let _telemetry_guard = registry.map(telemetry::bind);
-    // Likewise its flight-recorder lane: every trace event below lands in
-    // a per-dispatcher ring the exporter renders as one timeline lane.
     let _trace_guard = trace
         .as_ref()
-        .map(|set| telemetry::trace_bind(set, LaneKind::Dispatcher, index as u16));
-    // Parse phase: every dispatcher runs this concurrently; nothing here
-    // touches shared state.
-    let t0 = Instant::now();
-    let mut batch = SegBatch::new();
-    batch.parse_records(slice);
-    let parse_busy_nanos = t0.elapsed().as_nanos() as u64;
-    // Routing phase: serialized by the state token, in slice order.
-    let mut st = match &token_rx {
-        Some(rx) => match rx.recv() {
-            Some(st) => st,
-            // The predecessor died without handing the token on; without
-            // its routing state determinism is already gone, so route
-            // nothing — dropping `disp` closes this dispatcher's rings.
-            None => {
-                return DispatcherOutput {
-                    stats: SnifferStats::default(),
-                    trace_start: None,
-                    trace_end: None,
-                    parse_busy_nanos,
-                    route_busy_nanos: 0,
-                    send_wait_nanos: 0,
-                }
-            }
-        },
-        None => RouterState::default(),
-    };
-    let t1 = Instant::now();
-    // Token hand-off lane: acquire here (dispatcher 0 starts holding it),
-    // release just before the send below — the export pairs the two into
-    // one "token held" slice per dispatcher.
-    if telemetry::trace_enabled() {
-        tm_trace_wall!(Te::TokenAcquire, seq_base, index as u64, seq_base);
+        .map(|set| telemetry::trace_bind(set, LaneKind::Parse, index));
+    let mut busy_nanos = 0;
+    while let Some(mut chunk) = rx.recv() {
+        busy_nanos += parse_chunk(&mut chunk);
+        if tx.send(chunk).is_err() {
+            break;
+        }
     }
-    for (i, frame) in batch.frames.iter().enumerate() {
-        disp.route_frame(
-            &mut st,
-            seq_base + i as u64,
-            frame.ts,
-            frame.wire_len,
-            &frame.parse,
-        );
-    }
-    disp.flush_all();
-    let route_busy_nanos = (t1.elapsed().as_nanos() as u64).saturating_sub(disp.send_wait_nanos);
-    // Close this dispatcher's rings *before* handing the token on: worker
-    // drain order (ring d to exhaustion, then ring d+1) then matches token
-    // order, which is what makes the merge's seq streams monotone.
-    drop(std::mem::take(&mut disp.links));
-    if telemetry::trace_enabled() {
-        let held_nanos = t1.elapsed().as_nanos() as u64;
-        tm_trace_wall!(Te::TokenRelease, seq_base, index as u64, held_nanos);
-    }
-    if let Some(tx) = token_tx {
-        let _ = tx.send(st);
-    }
-    DispatcherOutput {
-        stats: disp.stats,
-        trace_start: disp.trace_start,
-        trace_end: disp.trace_end,
-        parse_busy_nanos,
-        route_busy_nanos,
-        send_wait_nanos: disp.send_wait_nanos,
-    }
+    busy_nanos
 }
 
 /// One shard worker: drive this shard's [`ShardEngine`]. Items arrive
 /// pre-parsed — a [`CompactSeg`] plus DPI head bytes straight into the
 /// flow table, or a DNS payload decoded here, the exact decode path the
-/// sequential sniffer runs. Multiple rings arrive from the
-/// multi-dispatcher driver and are drained strictly in dispatcher
-/// (= token) order, several batches per lock via `recv_batch`. Returns the
-/// shard's output plus its busy time (µs, excluding `recv` blocking).
+/// sequential sniffer runs — in routing order, several batches per lock
+/// via `recv_batch`. Returns the shard's output plus its busy time (µs,
+/// excluding `recv` blocking).
 // lint_root(ingest): per-worker ingest: decodes DNS and drives the shard engine
 fn worker_loop(
     mut engine: ShardEngine,
     shard: usize,
-    rxs: Vec<Receiver<Batch>>,
-    recycles: Vec<Sender<Batch>>,
-    rotate_tx: Option<Sender<RotateReply>>,
-    registry: Option<std::sync::Arc<telemetry::Registry>>,
-    trace: Option<std::sync::Arc<TraceSet>>,
+    rx: Receiver<Batch>,
+    recycle: Sender<Batch>,
+    rotate_tx: Sender<RotateReply>,
+    registry: Option<Arc<telemetry::Registry>>,
+    trace: Option<Arc<TraceSet>>,
 ) -> (ShardOutput, u64) {
     // Bind this shard's registry for the thread's whole lifetime, so every
     // engine/resolver/flow-table update below lands in per-shard cells that
-    // the merge later folds into the dispatcher's registry.
+    // the merge later folds into the caller's registry.
     let _telemetry_guard = registry.map(telemetry::bind);
     // And its flight-recorder lane: resolver/flow/sink provenance events
     // fired by the engine below record into this worker's ring.
@@ -1211,83 +1144,75 @@ fn worker_loop(
     let mut inbox: Vec<Batch> = Vec::with_capacity(RECV_BATCH_MAX);
     let mut done: Vec<Batch> = Vec::with_capacity(RECV_BATCH_MAX);
     let mut last_seq = 0u64;
-    for (ring_index, (rx, recycle)) in rxs.iter().zip(&recycles).enumerate() {
-        // Drain this dispatcher's ring to exhaustion (recv_batch returns 0
-        // only once the ring is closed *and* empty), then move to the
-        // next: dispatcher d closed its rings before passing the routing
-        // token to d+1, so this order yields a monotone sequence stream.
-        loop {
-            let n = rx.recv_batch(&mut inbox, RECV_BATCH_MAX);
-            if n == 0 {
-                break;
-            }
-            if telemetry::trace_enabled() {
-                tm_trace_wall!(Te::RingRecvBatch, 0, ring_index as u64, n as u64);
-            }
-            let t0 = Instant::now();
-            let mut drained_items = 0u64;
-            for mut batch in inbox.drain(..) {
-                drained_items += batch.items.len() as u64;
-                for item in &batch.items {
-                    debug_assert!(
-                        item.seq >= last_seq,
-                        "worker observed seq {} after {}",
-                        item.seq,
-                        last_seq
-                    );
-                    last_seq = item.seq;
-                    let start = item.off as usize;
-                    let end = start + item.len as usize;
-                    match item.kind {
-                        ItemKind::Start => engine.note_trace_start(item.ts),
-                        ItemKind::Tick => engine.tick(item.seq, item.ts),
-                        ItemKind::Seg(seg) => {
-                            let head = batch.bytes.get(start..end).unwrap_or(&[]);
-                            engine.process_seg(
-                                item.seq,
-                                item.ts,
-                                &seg,
-                                head,
-                                &mut None::<&mut RuleEnforcer>,
-                            );
-                        }
-                        ItemKind::DnsUdp { client } => {
-                            let payload = batch.bytes.get(start..end).unwrap_or(&[]);
-                            engine.handle_dns_payload(item.seq, item.ts, client, payload);
-                        }
-                        ItemKind::DnsTcp { client } => {
-                            let payload = batch.bytes.get(start..end).unwrap_or(&[]);
-                            for msg in codec::decode_tcp_stream(payload) {
-                                engine.handle_dns_message(item.seq, item.ts, client, &msg);
-                            }
-                        }
-                        ItemKind::Rotate { horizon } => {
-                            let retired = engine.rotate(horizon);
-                            // The barrier half: the dispatcher blocks on
-                            // this reply, so the send can never find the
-                            // capacity-1 ring full. A failed send means
-                            // the dispatcher already gave up on us.
-                            if let Some(tx) = &rotate_tx {
-                                let _ = tx.send(retired);
-                            }
+    // `recv_batch` returns 0 only once the ring is closed *and* empty.
+    loop {
+        let n = rx.recv_batch(&mut inbox, RECV_BATCH_MAX);
+        if n == 0 {
+            break;
+        }
+        if telemetry::trace_enabled() {
+            tm_trace_wall!(Te::RingRecvBatch, 0, shard as u64, n as u64);
+        }
+        let t0 = Instant::now();
+        let mut drained_items = 0u64;
+        for mut batch in inbox.drain(..) {
+            drained_items += batch.items.len() as u64;
+            for item in &batch.items {
+                debug_assert!(
+                    item.seq >= last_seq,
+                    "worker observed seq {} after {}",
+                    item.seq,
+                    last_seq
+                );
+                last_seq = item.seq;
+                let start = item.off as usize;
+                let end = start + item.len as usize;
+                match item.kind {
+                    ItemKind::Start => engine.note_trace_start(item.ts),
+                    ItemKind::Tick => engine.tick(item.seq, item.ts),
+                    ItemKind::Seg(seg) => {
+                        let head = batch.bytes.get(start..end).unwrap_or(&[]);
+                        engine.process_seg(
+                            item.seq,
+                            item.ts,
+                            &seg,
+                            head,
+                            &mut None::<&mut RuleEnforcer>,
+                        );
+                    }
+                    ItemKind::DnsUdp { client } => {
+                        let payload = batch.bytes.get(start..end).unwrap_or(&[]);
+                        engine.handle_dns_payload(item.seq, item.ts, client, payload);
+                    }
+                    ItemKind::DnsTcp { client } => {
+                        let payload = batch.bytes.get(start..end).unwrap_or(&[]);
+                        for msg in codec::decode_tcp_stream(payload) {
+                            engine.handle_dns_message(item.seq, item.ts, client, &msg);
                         }
                     }
+                    ItemKind::Rotate { horizon } => {
+                        let retired = engine.rotate(horizon);
+                        // The barrier half: the router blocks on this
+                        // reply, so the send can never find the capacity-1
+                        // ring full. A failed send means the router
+                        // already gave up on us.
+                        let _ = rotate_tx.send(retired);
+                    }
                 }
-                batch.items.clear();
-                batch.bytes.clear();
-                done.push(batch);
             }
-            let drain_nanos = t0.elapsed().as_nanos() as u64;
-            busy_nanos += drain_nanos;
-            if telemetry::trace_enabled() {
-                tm_trace_wall!(Te::WorkerDrain, 0, drained_items, drain_nanos);
-            }
-            // Best effort, never blocking: arenas that don't fit the
-            // recycle ring are simply dropped and the dispatcher allocates
-            // fresh ones.
-            recycle.try_send_batch(&mut done);
-            done.clear();
+            batch.items.clear();
+            batch.bytes.clear();
+            done.push(batch);
         }
+        let drain_nanos = t0.elapsed().as_nanos() as u64;
+        busy_nanos += drain_nanos;
+        if telemetry::trace_enabled() {
+            tm_trace_wall!(Te::WorkerDrain, 0, drained_items, drain_nanos);
+        }
+        // Best effort, never blocking: arenas that don't fit the recycle
+        // ring are simply dropped and the router allocates fresh ones.
+        recycle.try_send_batch(&mut done);
+        done.clear();
     }
     let t0 = Instant::now();
     let out = engine.finish_shard();

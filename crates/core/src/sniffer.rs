@@ -78,21 +78,6 @@ impl SnifferStats {
             FrameFault::Malformed => {}
         }
     }
-
-    /// Fold another partial count into this one (element-wise sum) — how
-    /// the multi-dispatcher pipeline merges its per-slice dispatcher
-    /// counters before `assemble_report` adds the worker engines' share.
-    pub fn absorb(&mut self, other: &SnifferStats) {
-        self.frames += other.frames;
-        self.parse_errors += other.parse_errors;
-        self.frames_truncated += other.frames_truncated;
-        self.checksum_errors += other.checksum_errors;
-        self.dns_queries += other.dns_queries;
-        self.dns_responses += other.dns_responses;
-        self.dns_decode_errors += other.dns_decode_errors;
-        self.tag_attempts += other.tag_attempts;
-        self.tag_hits += other.tag_hits;
-    }
 }
 
 /// Timing samples for Figs. 12–13 and the useless-DNS fraction (Tab. 9).

@@ -1,8 +1,8 @@
 //! The parallel pipeline's headline guarantee: for any worker count *and*
 //! dispatcher count, the merged [`SnifferReport`] is **byte-identical** to
 //! the sequential sniffer's. Determinism is by construction — global
-//! sequence numbers, dispatcher-broadcast eviction ticks, the serialized
-//! routing token, `(seq, phase)`-ordered merge — and these tests pin it
+//! sequence numbers, router-broadcast eviction ticks, one router routing
+//! in trace order, `(seq, phase)`-ordered merge — and these tests pin it
 //! against a full seeded simnet workload (DNS, TCP/TLS, UDP, port reuse,
 //! idle evictions, the §5.1 delay accounting, all of it).
 

@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use dnhunter::{
-    run_records_with_sinks, FlowSink, RealTimeSniffer, SnifferConfig, SnifferReport,
-    StreamingAnalytics, StreamingConfig,
+    FlowSink, ParallelSniffer, RealTimeSniffer, SnifferConfig, SnifferReport, StreamingAnalytics,
+    StreamingConfig,
 };
 use dnhunter_simnet::{profiles, TraceGenerator};
 use dnhunter_telemetry as telemetry;
@@ -98,10 +98,14 @@ fn tracing_changes_nothing_and_explains_identically_across_the_grid() {
             let _trace_guard = trace_set
                 .as_ref()
                 .map(|set| telemetry::trace_bind(set, telemetry::LaneKind::Driver, 0));
-            let (report, _, sinks) =
-                run_records_with_sinks(&config, workers, dispatchers, &trace.records, &mut |_| {
-                    Box::new(StreamingAnalytics::new(scfg.clone())) as Box<dyn FlowSink>
-                });
+            let mut sniffer = ParallelSniffer::with_sinks(config.clone(), workers, &mut |_| {
+                Box::new(StreamingAnalytics::new(scfg.clone())) as Box<dyn FlowSink>
+            })
+            .with_dispatchers(dispatchers);
+            for rec in &trace.records {
+                sniffer.process_record(rec);
+            }
+            let (report, sinks) = sniffer.finish_with_sinks();
             let cell = format!("traced={traced} {workers}x{dispatchers}");
             assert_eq!(digest(&report), reference_digest, "{cell}: report diverged");
             assert_eq!(

@@ -16,9 +16,9 @@
 //! byte-identical-to-sequential determinism tests would catch any drift
 //! end-to-end).
 //!
-//! [`SegBatch`] amortises the per-call overhead further: the parallel
-//! dispatcher parses a whole chunk of pcap records into one reusable buffer
-//! instead of making one call per frame.
+//! [`SegBatch`] is an owned chunk of captured frames plus their flat parses:
+//! the parallel pipeline's parse lanes flat-parse whole chunks on their own
+//! threads and hand them back for routing.
 //!
 //! Telemetry matches [`crate::PacketView::parse`] exactly: accepted frames
 //! count into `dnh_net_parses_total`, rejects split by fault family into
@@ -28,7 +28,6 @@ use std::net::{IpAddr, Ipv4Addr};
 
 use crate::error::NetError;
 use crate::packet::{PacketView, TransportHeader};
-use crate::pcap::PcapRecord;
 use crate::proto::IpProtocol;
 use crate::tcp::TcpFlags;
 
@@ -266,12 +265,14 @@ fn flat_fast(frame: &[u8]) -> Option<Result<FlatParse<'_>, FrameFault>> {
     }
 }
 
-/// Frames per [`SegBatch`] chunk — callers feed
-/// `records.chunks(SEG_BATCH_FRAMES)` so every sized buffer in the batch
-/// path is clamped by this constant (lint L8).
-pub const SEG_BATCH_FRAMES: usize = 256;
+/// Frames per [`SegBatch`] chunk — the unit the parallel pipeline's parse
+/// lanes hand around, so every sized buffer on the chunk path is clamped
+/// by this constant (lint L8). Each hand-off to a lane thread costs a
+/// wake-up; at 256 frames those wake-ups made routing measurably slower
+/// on a two-core host than routing inline, at 1024 they do not.
+pub const SEG_BATCH_FRAMES: usize = 1024;
 
-/// One parsed record in a [`SegBatch`].
+/// One parsed record of a [`SegBatch`], payload borrowed from its frame.
 #[derive(Debug, Clone, Copy)]
 pub struct FlatFrame<'a> {
     /// Capture timestamp (µs).
@@ -282,38 +283,147 @@ pub struct FlatFrame<'a> {
     pub parse: Result<FlatParse<'a>, FrameFault>,
 }
 
-/// A reusable buffer of flat-parsed frames: the dispatcher's unit of work.
-///
-/// One `SegBatch` lives as long as the records slice it borrows from; the
-/// parallel dispatcher allocates one per slice and re-fills it per chunk,
-/// so steady-state batched parsing allocates nothing.
-#[derive(Debug, Default)]
-pub struct SegBatch<'a> {
-    /// Parsed frames, in record order.
-    pub frames: Vec<FlatFrame<'a>>,
+/// A [`parse_flat`] result detached from the frame it borrows: the payload
+/// is kept as a byte range into the frame, so the parse can cross threads
+/// together with the record that owns the bytes.
+#[derive(Debug, Clone, Copy)]
+struct Detached {
+    parse: Result<FlatParse<'static>, FrameFault>,
+    payload_at: usize,
+    payload_len: usize,
 }
 
-impl<'a> SegBatch<'a> {
-    /// A batch with capacity for one full chunk.
-    pub fn new() -> Self {
-        SegBatch {
-            frames: Vec::with_capacity(SEG_BATCH_FRAMES),
+impl Detached {
+    fn of(frame: &[u8], parse: Result<FlatParse<'_>, FrameFault>) -> Self {
+        let (parse, payload_at, payload_len) = match parse {
+            Ok(FlatParse::Seg(seg)) => {
+                // A non-empty payload is a subslice of `frame`; an empty
+                // one may point anywhere, and re-attaches as empty anyway.
+                let at = (seg.payload.as_ptr() as usize).wrapping_sub(frame.as_ptr() as usize);
+                let detached = FlatSeg {
+                    src: seg.src,
+                    dst: seg.dst,
+                    src_port: seg.src_port,
+                    dst_port: seg.dst_port,
+                    proto: seg.proto,
+                    tcp_flags: seg.tcp_flags,
+                    tcp_seq: seg.tcp_seq,
+                    payload: &[],
+                    wire_bytes: seg.wire_bytes,
+                };
+                (Ok(FlatParse::Seg(detached)), at, seg.payload.len())
+            }
+            Ok(FlatParse::Opaque) => (Ok(FlatParse::Opaque), 0, 0),
+            Err(fault) => (Err(fault), 0, 0),
+        };
+        Detached {
+            parse,
+            payload_at,
+            payload_len,
         }
     }
 
-    /// Flat-parse a chunk of pcap records into this buffer (replacing its
-    /// previous contents). Telemetry counts once per record, exactly as
-    /// one-at-a-time [`parse_flat`] calls would.
-    // lint_root(ingest): batched entry over raw captured records
-    pub fn parse_records(&mut self, records: &'a [PcapRecord]) {
-        self.frames.clear();
-        for rec in records {
-            self.frames.push(FlatFrame {
-                ts: rec.timestamp_micros(),
-                wire_len: rec.frame.len() as u32,
-                parse: parse_flat(&rec.frame),
-            });
+    fn attach(self, frame: &[u8]) -> Result<FlatParse<'_>, FrameFault> {
+        match self.parse {
+            Ok(FlatParse::Seg(seg)) => {
+                let mut seg: FlatSeg<'_> = seg;
+                seg.payload = frame
+                    .get(self.payload_at..)
+                    .and_then(|rest| rest.get(..self.payload_len))
+                    .unwrap_or(&[]);
+                Ok(FlatParse::Seg(seg))
+            }
+            other => other,
         }
+    }
+}
+
+/// A chunk of captured frames and their flat parses: the parallel
+/// pipeline's unit of parse work.
+///
+/// The chunk owns its bytes — every frame is appended to one byte arena —
+/// so one thread can parse it and another route it. [`SegBatch::clear`]
+/// keeps every buffer's capacity, so a recycled chunk fills and parses
+/// without allocating.
+#[derive(Debug)]
+pub struct SegBatch {
+    /// Every frame's bytes, back to back.
+    bytes: Vec<u8>,
+    /// Per frame: capture timestamp (µs) and its range in `bytes`.
+    slots: Vec<(u64, usize, usize)>,
+    parses: Vec<Detached>,
+}
+
+impl Default for SegBatch {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl SegBatch {
+    /// An empty chunk with room for [`SEG_BATCH_FRAMES`] frames.
+    pub fn new() -> Self {
+        SegBatch {
+            bytes: Vec::new(),
+            slots: Vec::with_capacity(SEG_BATCH_FRAMES),
+            parses: Vec::with_capacity(SEG_BATCH_FRAMES),
+        }
+    }
+
+    /// Append one frame captured at `ts` µs (parsed by the next
+    /// [`SegBatch::parse`]).
+    pub fn push(&mut self, ts: u64, frame: &[u8]) {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(frame);
+        self.slots.push((ts, start, self.bytes.len()));
+    }
+
+    /// Frames in the chunk.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether the chunk holds no frame.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Whether the chunk holds [`SEG_BATCH_FRAMES`] frames.
+    pub fn is_full(&self) -> bool {
+        self.slots.len() >= SEG_BATCH_FRAMES
+    }
+
+    fn frame(&self, start: usize, end: usize) -> &[u8] {
+        self.bytes.get(start..end).unwrap_or(&[])
+    }
+
+    /// Flat-parse every frame not parsed yet. Telemetry counts once per
+    /// frame, exactly as one-at-a-time [`parse_flat`] calls would.
+    // lint_root(ingest): batched entry over raw captured records
+    pub fn parse(&mut self) {
+        for &(_, start, end) in self.slots.iter().skip(self.parses.len()) {
+            let frame = self.bytes.get(start..end).unwrap_or(&[]);
+            self.parses.push(Detached::of(frame, parse_flat(frame)));
+        }
+    }
+
+    /// The parsed frames in order, payloads re-borrowed from the arena.
+    pub fn frames(&self) -> impl Iterator<Item = FlatFrame<'_>> {
+        self.slots
+            .iter()
+            .zip(&self.parses)
+            .map(|(&(ts, start, end), parsed)| FlatFrame {
+                ts,
+                wire_len: (end - start) as u32,
+                parse: parsed.attach(self.frame(start, end)),
+            })
+    }
+
+    /// Drop every frame, keeping the buffers for reuse.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.slots.clear();
+        self.parses.clear();
     }
 }
 
@@ -321,6 +431,7 @@ impl<'a> SegBatch<'a> {
 mod tests {
     use super::*;
     use crate::packet::{build_tcp_v4, build_udp_v4, insert_vlan_tag};
+    use crate::pcap::PcapRecord;
     use crate::MacAddr;
     use std::net::Ipv4Addr;
 
@@ -489,25 +600,49 @@ mod tests {
             )
             .unwrap()
         };
+        // Odd records carry a VLAN tag, so both the fast and the generic
+        // parser's payloads are detached and re-attached.
         let records: Vec<PcapRecord> = (0..5)
-            .map(|i| PcapRecord {
-                ts_sec: 1,
-                ts_usec: i,
-                frame: mk(40000 + i as u16),
+            .map(|i| {
+                let frame = mk(40000 + i as u16);
+                PcapRecord {
+                    ts_sec: 1,
+                    ts_usec: i,
+                    frame: if i % 2 == 1 {
+                        insert_vlan_tag(&frame, 7)
+                    } else {
+                        frame
+                    },
+                }
             })
             .collect();
         let mut batch = SegBatch::new();
-        batch.parse_records(&records);
-        assert_eq!(batch.frames.len(), 5);
-        for (i, f) in batch.frames.iter().enumerate() {
+        for rec in &records {
+            batch.push(rec.timestamp_micros(), &rec.frame);
+        }
+        batch.parse();
+        assert_eq!(batch.frames().count(), 5);
+        for (i, f) in batch.frames().enumerate() {
             assert_eq!(f.ts, 1_000_000 + i as u64);
+            assert_eq!(f.wire_len as usize, records[i].frame.len());
             match f.parse {
-                Ok(FlatParse::Seg(s)) => assert_eq!(s.src_port, 40000 + i as u16),
+                Ok(FlatParse::Seg(s)) => {
+                    assert_eq!(s.src_port, 40000 + i as u16);
+                    // The payload re-attaches to the frame's arena bytes.
+                    assert_eq!(s.payload, b"x");
+                }
                 ref other => panic!("unexpected {other:?}"),
             }
         }
-        // Refill replaces, never appends.
-        batch.parse_records(&records[..2]);
-        assert_eq!(batch.frames.len(), 2);
+        // Parsing again only parses what was pushed since; faults pass
+        // through; clearing empties.
+        batch.push(2_000_000, &[0u8; 7]);
+        batch.parse();
+        assert_eq!(batch.frames().count(), 6);
+        let last = batch.frames().last().map(|f| f.parse);
+        assert_eq!(last, Some(Err(FrameFault::Truncated)));
+        batch.clear();
+        assert!(batch.is_empty());
+        assert_eq!(batch.frames().count(), 0);
     }
 }

@@ -16,8 +16,9 @@
 //!   resolved most recently for that server.
 //!
 //! Extensions evaluated in the paper's §6 are included: a multi-label mode
-//! (return *all* recent FQDNs for a pair, quantifying label confusion) and a
-//! [`shard`]ed variant for scaling to larger client populations.
+//! (return *all* recent FQDNs for a pair, quantifying label confusion). For
+//! larger client populations the parallel pipeline (`dnhunter::pipeline`)
+//! gives each worker shard its own plain [`DnsResolver`], §3.1.1-style.
 
 #![forbid(unsafe_code)]
 
@@ -33,16 +34,11 @@ pub mod intern;
 pub mod maps;
 /// The single-threaded DNS resolver of the paper's §3.1 / Algorithm 1.
 pub mod resolver;
-/// Sharded resolver for scaling beyond one core (paper §6 populations).
-pub mod shard;
 /// Hit/miss/confusion counters for the paper's §6 efficiency numbers.
 pub mod stats;
-/// Mutex shim switching to loom under `--cfg loom` (checks §3.1 locking).
-pub mod sync;
 
 pub use check::{CheckedResolver, ShadowModel};
 pub use intern::{InternStats, NameInterner};
 pub use maps::{HashedTables, OrderedTables, TableFamily};
 pub use resolver::{DnsResolver, InsertOutcome, ResolverConfig};
-pub use shard::{shard_of, ShardedResolver};
 pub use stats::ResolverStats;

@@ -1,6 +1,6 @@
 //! Per-thread ring-buffer flight recorders.
 //!
-//! Each pipeline thread (driver, dispatcher, worker) binds its own
+//! Each pipeline thread (driver, parse lane, worker) binds its own
 //! [`FlightRecorder`]: a fixed-capacity ring of atomic cells sized by
 //! [`TRACE_RING_CAP`]. Recording is single-writer and allocation-free —
 //! one relaxed `fetch_add` on the head plus four relaxed stores — so the
@@ -43,20 +43,21 @@ const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
 /// Which pipeline role a recorder belongs to — one Chrome-trace lane each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LaneKind {
-    /// The thread driving ingest (sequential sniffer or push-mode caller).
+    /// The thread driving ingest: the sequential sniffer, or the parallel
+    /// pipeline's router (which is also parse lane 0).
     Driver,
-    /// A routing dispatcher (holds the `RouterState` token while routing).
-    Dispatcher,
-    /// A worker shard draining inbound rings.
+    /// A parallel-pipeline parse lane (`1..D`) flat-parsing record chunks.
+    Parse,
+    /// A worker shard draining its inbound ring.
     Worker,
 }
 
 impl LaneKind {
-    /// Lane name stem used by exports (`driver`, `dispatcher`, `worker`).
+    /// Lane name stem used by exports (`driver`, `parse`, `worker`).
     pub const fn name(self) -> &'static str {
         match self {
             LaneKind::Driver => "driver",
-            LaneKind::Dispatcher => "dispatcher",
+            LaneKind::Parse => "parse",
             LaneKind::Worker => "worker",
         }
     }
@@ -162,7 +163,7 @@ impl FlightRecorder {
 pub struct LaneSnapshot {
     /// Lane role.
     pub kind: LaneKind,
-    /// Index within the role (dispatcher 0, worker 3, ...).
+    /// Index within the role (parse 1, worker 3, ...).
     pub index: u16,
     /// Records overwritten in this lane before export.
     pub dropped: u64,
@@ -455,21 +456,21 @@ mod tests {
                 assert_eq!(inner.lanes().len(), 1);
             }
             // Inner guard dropped: back on the outer set.
-            trace_note_wall(TraceEvent::TokenAcquire, 3, 0, 0);
+            trace_note_wall(TraceEvent::ChunkParse, 3, 0, 0);
         }
         assert!(!trace_enabled());
         let lanes = set.lanes();
         assert_eq!(lanes.len(), 1);
         assert_eq!(lanes[0].records.len(), 2);
         assert_eq!(lanes[0].records[0].event, TraceEvent::FlowOpen);
-        assert_eq!(lanes[0].records[1].event, TraceEvent::TokenAcquire);
+        assert_eq!(lanes[0].records[1].event, TraceEvent::ChunkParse);
     }
 
     #[test]
     fn lanes_sort_by_role_and_index() {
         let set = TraceSet::new();
         set.recorder(LaneKind::Worker, 1);
-        set.recorder(LaneKind::Dispatcher, 0);
+        set.recorder(LaneKind::Parse, 0);
         set.recorder(LaneKind::Worker, 0);
         set.recorder(LaneKind::Driver, 0);
         let order: Vec<(LaneKind, u16)> = set.lanes().iter().map(|l| (l.kind, l.index)).collect();
@@ -477,7 +478,7 @@ mod tests {
             order,
             vec![
                 (LaneKind::Driver, 0),
-                (LaneKind::Dispatcher, 0),
+                (LaneKind::Parse, 0),
                 (LaneKind::Worker, 0),
                 (LaneKind::Worker, 1),
             ]

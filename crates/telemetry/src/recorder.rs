@@ -111,7 +111,7 @@ pub fn observe(m: Metric, v: u64) {
 
 /// Fold another registry's cells into the current thread's bound registry
 /// (element-wise add); no-op when unbound. `ParallelSniffer::finish` uses
-/// this to sum its joined workers' registries into the dispatcher's.
+/// this to sum its joined threads' registries into the caller's.
 pub fn merge_into_bound(other: &Registry) {
     with_registry(|r| r.merge_from(other));
 }

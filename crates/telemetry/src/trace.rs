@@ -19,8 +19,8 @@
 //!   events carry *packet* timestamps and their multiset is identical
 //!   across worker counts, which is what makes `--explain` output
 //!   golden-testable.
-//! * [`TraceClass::Runtime`] — scheduling events (ring batches, routing
-//!   token hand-offs, worker drains) stamped with wall-clock
+//! * [`TraceClass::Runtime`] — scheduling events (ring batches, chunk
+//!   parses, worker drains) stamped with wall-clock
 //!   microseconds; these exist for the Chrome-trace profile view and are
 //!   never part of deterministic output.
 //!
@@ -147,16 +147,13 @@ trace_events! {
     // -- Runtime events: scheduling, for the Chrome-trace view -----------
     RingSendBatch => "ring_send_batch", Runtime,
         Value("shard"), Value("batches"),
-        "A dispatcher flushed `batches` outbox batches to worker `shard`.";
+        "The router flushed `batches` outbox batches to worker `shard`.";
     RingRecvBatch => "ring_recv_batch", Runtime,
-        Value("ring"), Value("batches"),
-        "A worker drained `batches` batches from inbound ring `ring`.";
-    TokenAcquire => "token_acquire", Runtime,
-        Value("dispatcher"), Value("seq"),
-        "A dispatcher received the routing token (serialized phase start).";
-    TokenRelease => "token_release", Runtime,
-        Value("dispatcher"), Value("held_nanos"),
-        "A dispatcher passed the routing token on after `held_nanos`.";
+        Value("shard"), Value("batches"),
+        "Worker `shard` drained `batches` batches from its inbound ring.";
+    ChunkParse => "chunk_parse", Runtime,
+        Value("frames"), Value("busy_nanos"),
+        "A parse lane flat-parsed a chunk of `frames` records.";
     WorkerDrain => "worker_drain", Runtime,
         Value("items"), Value("busy_nanos"),
         "A worker processed `items` segments in one drain sweep.";

@@ -7,9 +7,8 @@
 //! formatting are fine here.
 //!
 //! * [`chrome_trace`] targets `chrome://tracing` / Perfetto: one thread
-//!   lane per driver/dispatcher/worker plus a synthetic **token** lane
-//!   rebuilt from `token_acquire`/`token_release` pairs, so the
-//!   serialized routing phase shows up as back-to-back slices.
+//!   lane per driver/parse lane/worker, with chunk parses and worker
+//!   drains drawn as duration slices.
 //! * [`trace_jsonl`] is the dump-on-fault format: self-describing, one
 //!   JSON object per line, decodable without the catalog at hand.
 //! * [`explain`] filters Stable-class events down to the causal chain
@@ -27,13 +26,11 @@ use crate::trace::{ArgKind, TraceClass, TraceEvent};
 const PID_WALL: u32 = 1;
 /// Chrome-trace pid hosting packet-clock (Stable) lanes.
 const PID_TRACE: u32 = 2;
-/// Synthetic lane showing who holds the routing token.
-const TID_TOKEN: u32 = 2;
 
 fn lane_tid(kind: LaneKind, index: u16) -> u32 {
     match kind {
         LaneKind::Driver => 1,
-        LaneKind::Dispatcher => 10 + u32::from(index),
+        LaneKind::Parse => 10 + u32::from(index),
         LaneKind::Worker => 100 + u32::from(index),
     }
 }
@@ -87,6 +84,21 @@ fn push_slice(
     out.push_str("}},\n");
 }
 
+/// A wall-clock slice for an event recorded when its work ended, with the
+/// work's duration in `b` (nanoseconds).
+fn push_busy_slice(out: &mut String, tid: u32, name: &str, r: &TraceRecord) {
+    let dur_us = r.b / 1_000;
+    push_slice(
+        out,
+        PID_WALL,
+        tid,
+        name,
+        r.ts.saturating_sub(dur_us),
+        dur_us,
+        &[(r.event.info().a_label, r.a), ("busy_nanos", r.b)],
+    );
+}
+
 /// Render the whole set as Chrome `trace_event` JSON (the object form,
 /// `{"traceEvents":[...]}`), loadable in `chrome://tracing` or Perfetto.
 pub fn chrome_trace(set: &TraceSet) -> String {
@@ -106,13 +118,6 @@ pub fn chrome_trace(set: &TraceSet) -> String {
         "process_name",
         "dn-hunter packet clock",
     );
-    push_meta(
-        &mut out,
-        PID_WALL,
-        TID_TOKEN,
-        "thread_name",
-        "routing token",
-    );
     for lane in &lanes {
         let tid = lane_tid(lane.kind, lane.index);
         let mut name = String::new();
@@ -122,50 +127,12 @@ pub fn chrome_trace(set: &TraceSet) -> String {
     }
     for lane in &lanes {
         let tid = lane_tid(lane.kind, lane.index);
-        // Pair token acquire/release in lane order for the token lane.
-        let mut acquired: Option<&TraceRecord> = None;
         for r in &lane.records {
             match r.event.info().class {
                 TraceClass::Stable => push_instant(&mut out, PID_TRACE, tid, r.ts, r),
                 TraceClass::Runtime => match r.event {
-                    TraceEvent::TokenAcquire => acquired = Some(r),
-                    TraceEvent::TokenRelease => {
-                        if let Some(acq) = acquired.take() {
-                            let dur = r.ts.saturating_sub(acq.ts);
-                            let mut name = String::new();
-                            let _ = write!(name, "token d{}", r.a);
-                            push_slice(
-                                &mut out,
-                                PID_WALL,
-                                TID_TOKEN,
-                                &name,
-                                acq.ts,
-                                dur,
-                                &[("dispatcher", r.a), ("held_nanos", r.b)],
-                            );
-                            push_slice(
-                                &mut out,
-                                PID_WALL,
-                                tid,
-                                "route",
-                                acq.ts,
-                                dur,
-                                &[("dispatcher", r.a)],
-                            );
-                        }
-                    }
-                    TraceEvent::WorkerDrain => {
-                        let dur_us = r.b / 1_000;
-                        push_slice(
-                            &mut out,
-                            PID_WALL,
-                            tid,
-                            "drain",
-                            r.ts.saturating_sub(dur_us),
-                            dur_us,
-                            &[("items", r.a), ("busy_nanos", r.b)],
-                        );
-                    }
+                    TraceEvent::WorkerDrain => push_busy_slice(&mut out, tid, "drain", r),
+                    TraceEvent::ChunkParse => push_busy_slice(&mut out, tid, "parse", r),
                     _ => push_instant(&mut out, PID_WALL, tid, r.ts, r),
                 },
             }
@@ -364,8 +331,8 @@ mod tests {
             crate::tm_trace!(TraceEvent::FlowOpen, 2, 200, 0x51, 443);
             crate::tm_trace!(TraceEvent::FlowFinish, 3, 300, 0x51, 900);
             crate::tm_trace!(TraceEvent::ResolverMiss, 4, 400, 0x99, 0);
-            crate::tm_trace_wall!(TraceEvent::TokenAcquire, 0, 0, 0);
-            crate::tm_trace_wall!(TraceEvent::TokenRelease, 0, 0, 1234);
+            crate::tm_trace_wall!(TraceEvent::ChunkParse, 0, 256, 5_000);
+            crate::tm_trace_wall!(TraceEvent::WorkerDrain, 0, 40, 1_234_000);
         }
         set
     }
@@ -386,7 +353,7 @@ mod tests {
         }
         // The unrelated server and all Runtime events stay out.
         assert!(!text.contains("resolver_miss"));
-        assert!(!text.contains("token_acquire"));
+        assert!(!text.contains("chunk_parse"));
         assert!(text.contains("1 linked key(s), 5 event(s), 0 record(s) dropped"));
     }
 
@@ -426,15 +393,16 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_builds_token_lane_and_parses_shape() {
+    fn chrome_trace_draws_parse_and_drain_slices() {
         let set = seeded_set();
         let json = chrome_trace(&set);
         assert!(json.starts_with("{\"traceEvents\":[\n"));
         assert!(json.trim_end().ends_with("]}"));
-        assert!(json.contains("\"routing token\""));
         assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"name\":\"token d0\""));
-        assert!(json.contains("\"held_nanos\":1234"));
+        assert!(json.contains("\"name\":\"parse\""));
+        assert!(json.contains("\"frames\":256"));
+        assert!(json.contains("\"name\":\"drain\""));
+        assert!(json.contains("\"dur\":1234,"));
         assert!(json.contains("\"name\":\"dns_response\""));
     }
 
@@ -449,7 +417,7 @@ mod tests {
             assert!(l.starts_with('{') && l.ends_with('}'), "bad line {l}");
         }
         assert!(lines[0].contains("\"lane\":\"worker\""));
-        assert!(dump.contains("\"event\":\"token_release\""));
+        assert!(dump.contains("\"event\":\"chunk_parse\""));
         assert!(dump.contains("\"server\":\"0x0000000000000051\""));
     }
 }

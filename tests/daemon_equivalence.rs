@@ -1,10 +1,11 @@
 //! Daemon-mode equivalence: replaying the same pcap bytes through the
-//! poll/backpressure event loop must render byte-identical rotated output
-//! whether the source is a file or a dribbling byte stream (the FIFO/socket
-//! regime: short reads, mid-record stalls, `WouldBlock`), at 1, 2, and 8
-//! workers, on every simnet profile. Rotation cadence, horizons, and the
-//! emitted window lines are functions of the record stream alone — never of
-//! source pacing or shard count. See DESIGN.md §13.
+//! poll/backpressure event loop must render byte-identical windowed output,
+//! rotated or not, whether the source is a file or a dribbling byte stream
+//! (the FIFO/socket regime: short reads, mid-record stalls, `WouldBlock`),
+//! at 1, 2, and 8 workers and 1 or 2 dispatchers, on every simnet profile.
+//! Rotation cadence, horizons, and the emitted window lines are functions of
+//! the record stream alone — never of source pacing, shard count or parse
+//! lanes. See DESIGN.md §13.
 
 use std::io::{Cursor, Read};
 use std::sync::Arc;
@@ -13,7 +14,9 @@ use dnhunter::{
     DaemonSniffer, FlowSink, ParallelSniffer, RealTimeSniffer, Rotation, SnifferConfig,
     WindowConfig, WindowedAnalytics,
 };
-use dnhunter_net::{PcapFileSource, PcapRecord, PcapStreamSource, PcapWriter};
+use dnhunter_net::{
+    FrameSource, PcapFileSource, PcapRecord, PcapStreamSource, PcapWriter, SourcePoll,
+};
 use dnhunter_simnet::{profiles, TraceGenerator};
 use dnhunter_telemetry as telemetry;
 use telemetry::Metric;
@@ -75,14 +78,15 @@ fn window_cfg() -> WindowConfig {
     WindowConfig::new(WINDOW_MICROS, SLIDE_MICROS)
 }
 
-fn make_sniffer(workers: usize) -> DaemonSniffer {
+fn make_sniffer(workers: usize, dispatchers: usize) -> DaemonSniffer {
     let config = SnifferConfig::default();
-    if workers > 1 {
-        DaemonSniffer::Par(Box::new(ParallelSniffer::with_sinks(
-            config,
-            workers,
-            &mut |_| Box::new(WindowedAnalytics::new(window_cfg())) as Box<dyn FlowSink>,
-        )))
+    if workers > 1 || dispatchers > 1 {
+        DaemonSniffer::Par(Box::new(
+            ParallelSniffer::with_sinks(config, workers, &mut |_| {
+                Box::new(WindowedAnalytics::new(window_cfg())) as Box<dyn FlowSink>
+            })
+            .with_dispatchers(dispatchers),
+        ))
     } else {
         let mut s = RealTimeSniffer::new(config);
         s.set_sink(Box::new(WindowedAnalytics::new(window_cfg())));
@@ -90,30 +94,50 @@ fn make_sniffer(workers: usize) -> DaemonSniffer {
     }
 }
 
-/// Run the daemon loop over `bytes` and return the rotated JSONL plus the
-/// telemetry snapshot. `stream` selects the FIFO-style dribbling source.
-fn run_rotated(bytes: &[u8], workers: usize, stream: bool) -> (String, telemetry::Snapshot) {
+/// One daemon-loop configuration: shard workers, parse lanes, the
+/// FIFO-style dribbling source instead of a file, and state rotation.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    workers: usize,
+    dispatchers: usize,
+    stream: bool,
+    rotate: bool,
+}
+
+/// Run the daemon loop over `bytes` and return the windowed JSONL (the
+/// rotated stream, or the batch render of the folded sinks) plus the
+/// telemetry snapshot.
+fn run_daemon(bytes: &[u8], cell: Cell) -> (String, telemetry::Snapshot) {
     let registry = Arc::new(telemetry::Registry::new());
     let _guard = telemetry::bind(registry.clone());
-    let mut sniffer = make_sniffer(workers);
-    let mut rotation = Rotation::new(ROTATE_MICROS, window_cfg());
-    let records = if stream {
+    let mut sniffer = make_sniffer(cell.workers, cell.dispatchers);
+    let mut rotation = cell
+        .rotate
+        .then(|| Rotation::new(ROTATE_MICROS, window_cfg()));
+    let records = if cell.stream {
         let mut source = PcapStreamSource::new(Dribble {
             data: bytes.to_vec(),
             pos: 0,
             tick: 0,
         });
-        dnhunter::run_frame_daemon(&mut source, &mut sniffer, Some(&mut rotation), |_| {})
+        dnhunter::run_frame_daemon(&mut source, &mut sniffer, rotation.as_mut(), |_, _| {})
     } else {
         let mut source = PcapFileSource::new(Cursor::new(bytes)).expect("valid pcap");
-        dnhunter::run_frame_daemon(&mut source, &mut sniffer, Some(&mut rotation), |_| {})
+        dnhunter::run_frame_daemon(&mut source, &mut sniffer, rotation.as_mut(), |_, _| {})
     }
     .expect("daemon loop completes");
     assert!(records > 0, "daemon ingested nothing");
     let (_, sinks) = sniffer.finish_with_sinks();
-    let rotations = rotation.rotations;
-    assert!(rotations > 0, "no rotation fired over a multi-hour trace");
-    let out = rotation.emitter.finish(rotations, sinks);
+    let out = match rotation {
+        Some(rotation) => {
+            let rotations = rotation.rotations;
+            assert!(rotations > 0, "no rotation fired over a multi-hour trace");
+            rotation.emitter.finish(rotations, sinks)
+        }
+        None => WindowedAnalytics::fold(sinks)
+            .expect("windowed sinks returned")
+            .render(),
+    };
     (out, registry.snapshot())
 }
 
@@ -124,44 +148,149 @@ fn daemon_stream_replay_matches_batch_on_every_profile() {
         let trace = TraceGenerator::new(profile.scaled(scaled(0.006)), false).generate();
         let bytes = pcap_bytes(&trace.records);
 
-        let (reference, refsnap) = run_rotated(&bytes, 1, false);
-        assert!(
-            reference.lines().count() > 2,
-            "{name}: rotated output has no window lines"
-        );
-        assert!(
-            reference.ends_with("\"dropped_bucket_events\":0}\n"),
-            "{name}: rotation dropped bucket events:\n{}",
-            reference.lines().last().unwrap_or("")
-        );
-        assert!(refsnap.get(Metric::DaemonRotations) > 0);
-        assert!(refsnap.get(Metric::WindowBucketsRetired) > 0);
-        assert_eq!(refsnap.get(Metric::WindowRetractUnderflow), 0, "{name}");
-        let reference_prom = telemetry::prometheus(&refsnap, false);
+        for rotate in [true, false] {
+            let reference_cell = Cell {
+                workers: 1,
+                dispatchers: 1,
+                stream: false,
+                rotate,
+            };
+            let (reference, refsnap) = run_daemon(&bytes, reference_cell);
+            assert!(
+                reference.lines().count() > 2,
+                "{name}: windowed output has no window lines"
+            );
+            // The rotated stream reports drops in its footer, the batch
+            // render in its header.
+            let drops_line = if rotate {
+                reference.lines().last()
+            } else {
+                reference.lines().next()
+            };
+            assert!(
+                drops_line.is_some_and(|l| l.contains("\"dropped_bucket_events\":0")),
+                "{name}: windowing dropped bucket events: {drops_line:?}"
+            );
+            if rotate {
+                assert!(refsnap.get(Metric::DaemonRotations) > 0);
+                assert!(refsnap.get(Metric::WindowBucketsRetired) > 0);
+            }
+            assert_eq!(refsnap.get(Metric::WindowRetractUnderflow), 0, "{name}");
+            let reference_prom = telemetry::prometheus(&refsnap, false);
 
-        // (1, file) is the reference itself; every other grid cell must
-        // reproduce it byte for byte.
-        let grid: &[(usize, bool)] = if full() {
-            &[(1, true), (2, false), (2, true), (8, false), (8, true)]
-        } else {
-            &[(1, true), (2, true), (8, false)]
-        };
-        for &(workers, stream) in grid {
-            {
-                let kind = if stream { "stream" } else { "file" };
-                let (out, snap) = run_rotated(&bytes, workers, stream);
-                assert_eq!(
-                    out, reference,
-                    "{name}: {workers}-worker {kind} rotated output diverged"
-                );
+            // (1, 1, file) is the reference itself; every other grid cell
+            // (workers, dispatchers, stream) must reproduce it byte for byte.
+            // The PR gate runs one and two parse lanes over both sources,
+            // rotated and not; the nightly grid is the full cross product.
+            let grid: Vec<(usize, usize, bool)> = if full() {
+                let mut cells = Vec::new();
+                for workers in [1, 2, 8] {
+                    for dispatchers in [1, 2] {
+                        for stream in [false, true] {
+                            cells.push((workers, dispatchers, stream));
+                        }
+                    }
+                }
+                cells.retain(|&cell| cell != (1, 1, false));
+                cells
+            } else if rotate {
+                vec![
+                    (1, 1, true),
+                    (2, 1, true),
+                    (8, 1, false),
+                    (2, 2, true),
+                    (8, 2, false),
+                ]
+            } else {
+                vec![(2, 2, true), (8, 2, false)]
+            };
+            for (workers, dispatchers, stream) in grid {
+                let cell = Cell {
+                    workers,
+                    dispatchers,
+                    stream,
+                    rotate,
+                };
+                let (out, snap) = run_daemon(&bytes, cell);
+                assert_eq!(out, reference, "{name}: {cell:?} windowed output diverged");
                 assert_eq!(
                     telemetry::prometheus(&snap, false),
                     reference_prom,
-                    "{name}: {workers}-worker {kind} stable metrics diverged"
+                    "{name}: {cell:?} stable metrics diverged"
                 );
             }
         }
     }
+}
+
+/// A live source that goes idle (`Pending`) after every `stall_every`
+/// records, as a quiet link does.
+struct Stalling {
+    records: std::vec::IntoIter<PcapRecord>,
+    fed: usize,
+    stall_every: usize,
+    stalled: bool,
+}
+
+impl FrameSource for Stalling {
+    fn poll_next(&mut self) -> dnhunter_net::Result<SourcePoll> {
+        if self.fed > 0 && self.fed.is_multiple_of(self.stall_every) && !self.stalled {
+            self.stalled = true;
+            return Ok(SourcePoll::Pending);
+        }
+        self.stalled = false;
+        Ok(match self.records.next() {
+            Some(rec) => {
+                self.fed += 1;
+                SourcePoll::Ready(rec)
+            }
+            None => SourcePoll::Eof,
+        })
+    }
+}
+
+#[test]
+fn idle_stream_routes_every_record_before_eof() {
+    // With two parse lanes, records gather into chunks far larger than one
+    // stall's worth of traffic. Once the source goes idle every record fed
+    // so far must be routed anyway, instead of waiting unrouted (and
+    // uncounted in mid-run metrics) until more traffic fills the chunk.
+    const STALL_EVERY: usize = 10;
+    let trace = TraceGenerator::new(
+        profiles::profile_by_name("EU1-FTTH")
+            .unwrap()
+            .scaled(scaled(0.002)),
+        false,
+    )
+    .generate();
+    let total = trace.records.len().min(400);
+    assert!(total > 3 * STALL_EVERY, "trace too short: {total} records");
+    let mut records = trace.records;
+    records.truncate(total);
+    let registry = Arc::new(telemetry::Registry::new());
+    let _guard = telemetry::bind(registry.clone());
+    let mut sniffer = make_sniffer(2, 2);
+    let mut source = Stalling {
+        records: records.into_iter(),
+        fed: 0,
+        stall_every: STALL_EVERY,
+        stalled: false,
+    };
+    let mut seen = 0u64;
+    let mut checked = 0;
+    dnhunter::run_frame_daemon(&mut source, &mut sniffer, None, |sniffer, _| {
+        seen += 1;
+        // The first record after a stall: everything before it is routed.
+        if seen > 1 && (seen - 1).is_multiple_of(STALL_EVERY as u64) {
+            let routed = sniffer.live_snapshot(&registry).get(Metric::IngestFrames);
+            assert_eq!(routed, seen - 1, "records left unrouted across a stall");
+            checked += 1;
+        }
+    })
+    .expect("daemon loop completes");
+    assert!(checked >= 3, "only {checked} stalls checked");
+    let (report, _) = sniffer.finish_with_sinks();
+    assert_eq!(report.sniffer_stats.frames, total as u64);
 }
 
 #[test]
@@ -187,10 +316,10 @@ fn rotation_cadence_does_not_change_which_windows_exist() {
     };
 
     let run_at = |rotate_micros: u64| -> Vec<String> {
-        let mut sniffer = make_sniffer(1);
+        let mut sniffer = make_sniffer(1, 1);
         let mut rotation = Rotation::new(rotate_micros, window_cfg());
         let mut source = PcapFileSource::new(Cursor::new(&bytes)).expect("valid pcap");
-        dnhunter::run_frame_daemon(&mut source, &mut sniffer, Some(&mut rotation), |_| {})
+        dnhunter::run_frame_daemon(&mut source, &mut sniffer, Some(&mut rotation), |_, _| {})
             .expect("daemon loop completes");
         let (_, sinks) = sniffer.finish_with_sinks();
         let rotations = rotation.rotations;

@@ -14,9 +14,9 @@ use std::io::Cursor;
 use std::sync::Arc;
 
 use dnhunter::{
-    run_records_with_sinks, DaemonSniffer, FlowSink, FlowrecConfig, ParallelSniffer,
-    RealTimeSniffer, Rotation, SnifferConfig, SnifferReport, StreamingAnalytics, StreamingConfig,
-    WindowConfig, WindowedAnalytics,
+    DaemonSniffer, FlowSink, FlowrecConfig, ParallelSniffer, RealTimeSniffer, Rotation,
+    SnifferConfig, SnifferReport, StreamingAnalytics, StreamingConfig, WindowConfig,
+    WindowedAnalytics,
 };
 use dnhunter_net::flowrec::encode_stream;
 use dnhunter_net::{FlowRecReader, PcapFileSource, PcapRecord, PcapWriter};
@@ -427,13 +427,14 @@ fn run_windowed_sharded(
 ) -> (WindowedAnalytics, String, telemetry::Snapshot) {
     let registry = Arc::new(telemetry::Registry::new());
     let _guard = telemetry::bind(registry.clone());
-    let (_, _, sinks) = run_records_with_sinks(
-        &SnifferConfig::default(),
-        workers,
-        dispatchers,
-        records,
-        &mut |_| Box::new(WindowedAnalytics::new(window_cfg())) as Box<dyn FlowSink>,
-    );
+    let mut sniffer = ParallelSniffer::with_sinks(SnifferConfig::default(), workers, &mut |_| {
+        Box::new(WindowedAnalytics::new(window_cfg())) as Box<dyn FlowSink>
+    })
+    .with_dispatchers(dispatchers);
+    for rec in records {
+        sniffer.process_record(rec);
+    }
+    let (_, sinks) = sniffer.finish_with_sinks();
     assert_eq!(sinks.len(), workers, "one windowed partial per worker");
     let windowed = WindowedAnalytics::fold(sinks).expect("worker sinks returned");
     let render = windowed.render();
@@ -595,7 +596,7 @@ fn run_rotated(records: &[PcapRecord], workers: usize) -> (String, telemetry::Sn
     };
     let mut rotation = Rotation::new(10 * 60 * 1_000_000, window_cfg());
     let mut source = PcapFileSource::new(Cursor::new(&bytes)).expect("valid pcap");
-    dnhunter::run_frame_daemon(&mut source, &mut sniffer, Some(&mut rotation), |_| {})
+    dnhunter::run_frame_daemon(&mut source, &mut sniffer, Some(&mut rotation), |_, _| {})
         .expect("daemon loop survives the fault cell");
     let (_, sinks) = sniffer.finish_with_sinks();
     let rotations = rotation.rotations;
